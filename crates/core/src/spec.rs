@@ -232,7 +232,7 @@ pub enum AlgorithmSpec {
     },
     /// Tree-parallel UCT ([`crate::uct::uct_tree_parallel`]): `threads`
     /// workers share one tree, with three execution knobs — the
-    /// [`LockStrategy`] (sharded per-node locks vs the global arena
+    /// [`LockStrategy`] (the lock-free tree vs the global arena
     /// mutex), the [`StatsMode`] (WU-UCT unobserved-sample statistics
     /// vs plain virtual loss), and `leaf_batch` (≥ 2 hands each
     /// worker's pending rollouts to the executor pool in slabs). The
@@ -291,7 +291,7 @@ impl AlgorithmSpec {
     }
 
     /// Tree-parallel UCT on `threads` workers with default tunables
-    /// (sharded locks, WU-UCT statistics, inline rollouts).
+    /// (lock-free tree, WU-UCT statistics, inline rollouts).
     pub fn tree_parallel(threads: usize) -> Self {
         AlgorithmSpec::TreeParallel {
             config: UctConfig::default(),
@@ -783,7 +783,7 @@ impl SearchSpec {
     }
 
     /// Tree-parallel UCT on `threads` workers (default tunables:
-    /// sharded locks, WU-UCT statistics, inline rollouts — tune with
+    /// lock-free tree, WU-UCT statistics, inline rollouts — tune with
     /// [`SearchBuilder::lock_strategy`], [`SearchBuilder::stats_mode`],
     /// and [`SearchBuilder::leaf_batch`]). With `threads == 1` this is
     /// bit-identical to [`SearchSpec::uct`] per seed; with more

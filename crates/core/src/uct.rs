@@ -27,9 +27,11 @@
 //!
 //!   * [`LockStrategy`] — `Global` serialises every descent behind one
 //!     structure mutex (the original arena behaviour, kept as the
-//!     measured contention baseline); `Sharded` gives every node its
-//!     own lock, so concurrent descents only contend when they touch
-//!     the *same node at the same instant*.
+//!     measured contention baseline); `Sharded` takes no lock at all:
+//!     a node's edge table is filled once by its first visitor, descents
+//!     claim expansions with a CAS and publish children through
+//!     write-once slots (the lock-free tree of Mirsoleimani et al.), so
+//!     concurrent descents share only atomic counters.
 //!   * [`StatsMode`] — `VirtualLoss` counts each in-flight descent as a
 //!     pessimistic visit; `WuUct` implements the unobserved-sample
 //!     statistics of *"Watch the Unobserved: a simple approach to
@@ -57,7 +59,7 @@ use crate::seeds::{tree_rollout_seed, tree_worker_seed};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// UCT tunables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -265,9 +267,11 @@ pub enum LockStrategy {
     /// single-arena-mutex behaviour, kept as the measured contention
     /// baseline for `tables --tree`).
     Global,
-    /// Every node carries its own lock; descents contend only when they
-    /// touch the same node at the same instant, so selection scales
-    /// with tree breadth instead of serialising on one mutex.
+    /// No structural lock: descents claim expansions by CAS and publish
+    /// children through write-once edge slots, so selection scales with
+    /// the workers instead of serialising on any mutex. (The name dates
+    /// from the per-node-mutex tree it replaced; it stays for the wire
+    /// format.)
     #[default]
     Sharded,
 }
@@ -334,7 +338,7 @@ pub struct TreeParallelOpts {
 }
 
 impl TreeParallelOpts {
-    /// Default knobs (sharded locks, WU-UCT stats, inline rollouts) at
+    /// Default knobs (lock-free tree, WU-UCT stats, inline rollouts) at
     /// the given width.
     pub fn new(threads: usize) -> Self {
         TreeParallelOpts {
@@ -357,8 +361,10 @@ impl Default for TreeParallelOpts {
 /// backpropagation never takes any structural lock.
 struct TpStats {
     visits: AtomicU64,
-    /// Accumulated playout scores, stored as `f64` bits (CAS-add).
-    total_bits: AtomicU64,
+    /// Sum of the playout scores backed up through this node. Integer
+    /// sums below 2^53 convert to exactly the `f64` that [`uct_with`]
+    /// accumulates, which keeps the single-worker run bit-identical.
+    total: AtomicI64,
     /// Best playout score seen through this node.
     best: AtomicI64,
     /// In-flight descents: passed through this node, not yet
@@ -370,63 +376,77 @@ impl TpStats {
     fn new() -> Self {
         TpStats {
             visits: AtomicU64::new(0),
-            total_bits: AtomicU64::new(0f64.to_bits()),
+            total: AtomicI64::new(0),
             best: AtomicI64::new(Score::MIN),
             inflight: AtomicU32::new(0),
         }
     }
 }
 
-/// One node of the shared tree. `mv` and `stats` are immutable /
-/// atomic and readable without any lock; the mutable structure
-/// (children, expansion state) sits behind the node's own mutex, which
-/// is what makes [`LockStrategy::Sharded`] contention-free for
-/// descents that diverge.
+/// One node of the shared tree, read and grown by every worker with no
+/// lock and no reference count.
+///
+/// The node's edge table is filled once, by its first visitor, with the
+/// shuffled legal moves; after that a descent *claims* expansion `i` by
+/// bumping `claimed` with a CAS and publishes the child through edge
+/// `i`'s slot. Slots are append-only until [`TpTree::reroot`], which
+/// needs `&mut` and so never races a search.
 ///
 /// `stats` is an `Arc` so a [`TransTable`] can hand the *same*
 /// statistics cell to tree nodes reached by transposed move orders:
-/// the tree stays a tree (edge `mv` labels and best-sequence replay
-/// stay exact) while visit/value/best data is shared per position.
+/// the tree stays a tree (edge moves and best-sequence replay stay
+/// exact) while visit/value/best data is shared per position.
 struct TpNode<M> {
-    mv: Option<M>,
     stats: Arc<TpStats>,
-    body: Mutex<TpBody<M>>,
+    /// Expansions claimed so far (at most the edge count). Edge `i` with
+    /// `i < claimed` has a child published, or about to be by the
+    /// descent that claimed it. Updated `Relaxed`: a claim publishes no
+    /// data itself — the child becomes visible through its slot's
+    /// `OnceLock` (release on set, acquire on get).
+    claimed: AtomicU32,
+    edges: OnceLock<Box<[Edge<M>]>>,
 }
 
-struct TpBody<M> {
-    children: Vec<Arc<TpNode<M>>>,
-    unexpanded: Vec<M>,
-    expanded: bool,
-}
-
-impl<M> TpBody<M> {
-    fn empty() -> Self {
-        TpBody {
-            // nmcs-lint: allow(hot-path) reason="node construction at expansion: the UCT tree grows by design, bounded by the node budget, not per playout step"
-            children: Vec::new(),
-            // nmcs-lint: allow(hot-path) reason="node construction at expansion: the UCT tree grows by design, bounded by the node budget, not per playout step"
-            unexpanded: Vec::new(),
-            expanded: false,
-        }
-    }
+/// One outgoing edge: its move and the child it leads to, once claimed.
+/// The child lives inline in the slot, so growing the tree allocates
+/// once per first-visited node and never per expansion.
+struct Edge<M> {
+    mv: M,
+    child: OnceLock<TpNode<M>>,
 }
 
 impl<M> TpNode<M> {
-    fn new(mv: Option<M>) -> Self {
-        TpNode::with_stats(mv, Arc::new(TpStats::new()))
-    }
-
-    fn with_stats(mv: Option<M>, stats: Arc<TpStats>) -> Self {
+    fn new(stats: Arc<TpStats>) -> Self {
         TpNode {
-            mv,
             stats,
-            body: Mutex::new(TpBody::empty()),
+            claimed: AtomicU32::new(0),
+            edges: OnceLock::new(),
         }
     }
 
-    fn lock_body(&self) -> parking_lot::MutexGuard<'_, TpBody<M>> {
-        // nmcs-lint: allow(hot-path) reason="per-node parking_lot mutex is the tree-parallel sharing design (PR 5); playouts proper never hold it"
-        self.body.lock()
+    /// The published children with their moves, in expansion order.
+    fn children(&self) -> impl Iterator<Item = (&M, &TpNode<M>)> {
+        let edges = self.edges.get().map_or(&[][..], |e| &e[..]);
+        edges
+            .iter()
+            .filter_map(|e| e.child.get().map(|c| (&e.mv, c)))
+    }
+}
+
+impl<M: Clone> Edge<M> {
+    /// Node and edge construction at expansion: lays out a node's edge
+    /// table from its shuffled `moves`, one empty child slot per move,
+    /// in the order [`uct_with`] pops them (last move first).
+    fn table(moves: &[M]) -> Box<[Edge<M>]> {
+        moves
+            .iter()
+            .rev()
+            .map(|mv| Edge {
+                mv: mv.clone(),
+                child: OnceLock::new(),
+            })
+            // nmcs-lint: allow(hot-path) reason="node construction at expansion: one edge table per first-visited node, children live inline in it; the tree grows by design, bounded by the node budget, not per playout step"
+            .collect()
     }
 }
 
@@ -568,17 +588,6 @@ impl TransTable {
     }
 }
 
-fn f64_cas_add(cell: &AtomicU64, add: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + add).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
 fn f64_cas_min(cell: &AtomicU64, candidate: f64) {
     let mut cur = cell.load(Ordering::Relaxed);
     loop {
@@ -621,7 +630,7 @@ fn f64_cas_max(cell: &AtomicU64, candidate: f64) {
 /// steps, re-rooting it on each committed move so the next search
 /// starts warm.
 pub(crate) struct TpTree<M> {
-    root: Arc<TpNode<M>>,
+    root: TpNode<M>,
     /// Taken for the whole selection + expansion of one descent in
     /// [`LockStrategy::Global`] mode; untouched in `Sharded` mode.
     structure: Mutex<()>,
@@ -640,18 +649,19 @@ pub(crate) struct TpTree<M> {
 }
 
 /// Per-worker descent buffers, reused across iterations so the hot
-/// loop stays allocation-free after warm-up.
-struct DescentScratch<G: Game> {
+/// loop stays allocation-free after warm-up. `'t` is the tree's borrow:
+/// the path holds plain references into it.
+struct DescentScratch<'t, G: Game> {
     use_undo: bool,
     undo_stack: Vec<Undo<G>>,
     moves: Vec<G::Move>,
     /// Moves of the current descent + rollout (the candidate best line).
     seq: Vec<G::Move>,
     /// Nodes of the current descent, root first.
-    path: Vec<Arc<TpNode<G::Move>>>,
+    path: Vec<&'t TpNode<G::Move>>,
 }
 
-impl<G: Game> DescentScratch<G> {
+impl<G: Game> DescentScratch<'_, G> {
     fn new(game: &G) -> Self {
         DescentScratch {
             use_undo: game.supports_undo(),
@@ -666,10 +676,10 @@ impl<G: Game> DescentScratch<G> {
 /// One pending rollout of a batched-leaf slab: the leaf position a
 /// descent reached, the moves that led there, and the nodes to back the
 /// result up through.
-struct PendingLeaf<G: Game> {
+struct PendingLeaf<'t, G: Game> {
     pos: G,
     seq: Vec<G::Move>,
-    path: Vec<Arc<TpNode<G::Move>>>,
+    path: Vec<&'t TpNode<G::Move>>,
     iteration: usize,
     score: Score,
 }
@@ -677,13 +687,13 @@ struct PendingLeaf<G: Game> {
 /// Per-slot state of a worker's slab: the pending rollout plus reusable
 /// scratch (legal-move buffer, forked budget context). Slots are locked
 /// uncontended — exactly one pool thread runs each slot of a batch.
-struct SlabSlot<G: Game> {
-    pending: Option<PendingLeaf<G>>,
+struct SlabSlot<'t, G: Game> {
+    pending: Option<PendingLeaf<'t, G>>,
     moves: Vec<G::Move>,
     ctx: Option<SearchCtx>,
 }
 
-impl<G: Game> SlabSlot<G> {
+impl<G: Game> SlabSlot<'_, G> {
     fn new() -> Self {
         SlabSlot {
             pending: None,
@@ -693,10 +703,17 @@ impl<G: Game> SlabSlot<G> {
     }
 }
 
+/// A worker's best line so far, offered to the run once, at the end.
+type BestLine<M> = (Score, Vec<M>);
+
+/// What a finished worker hands back: its slot, budget context and best
+/// line.
+type WorkerOut<M> = (usize, SearchCtx, BestLine<M>);
+
 impl<M: Clone> TpTree<M> {
     pub(crate) fn new(config: &UctConfig, lock: LockStrategy, stats: StatsMode) -> Self {
         TpTree {
-            root: Arc::new(TpNode::new(None)),
+            root: TpNode::new(Arc::new(TpStats::new())),
             structure: Mutex::new(()),
             lo_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             hi_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
@@ -729,34 +746,19 @@ impl<M: Clone> TpTree<M> {
     /// Re-roots the tree on the child reached by `mv`, keeping that
     /// subtree (statistics included) and the shared normalisation
     /// bounds; sibling subtrees are dropped. A move that was never
-    /// expanded re-roots onto a fresh cold node. Must not run
-    /// concurrently with a search on this tree (sessions serialise
-    /// steps behind their own lock).
+    /// expanded re-roots onto a fresh cold node. Takes `&mut self`, so
+    /// it can never overlap a search on this tree.
     pub(crate) fn reroot(&mut self, mv: &M)
     where
         M: PartialEq,
     {
-        let taken = {
-            let mut body = self.root.lock_body();
-            body.children
-                .iter()
-                .position(|c| c.mv.as_ref() == Some(mv))
-                .map(|i| body.children.swap_remove(i))
-        };
-        self.root = match taken {
-            Some(child) => {
-                // The subtree body moves wholesale onto the new root;
-                // `mv: None` keeps root semantics (WU-UCT's in-flight
-                // exclusion keys off `mv.is_some()`).
-                let inner = std::mem::replace(&mut *child.lock_body(), TpBody::empty());
-                Arc::new(TpNode {
-                    mv: None,
-                    stats: child.stats.clone(),
-                    body: Mutex::new(inner),
-                })
-            }
-            None => Arc::new(TpNode::new(None)),
-        };
+        let taken = self
+            .root
+            .edges
+            .get_mut()
+            .and_then(|edges| edges.iter_mut().find(|e| e.mv == *mv))
+            .and_then(|e| e.child.take());
+        self.root = taken.unwrap_or_else(|| TpNode::new(Arc::new(TpStats::new())));
     }
 
     /// Approximate heap bytes of the live tree (a between-steps walk —
@@ -764,21 +766,26 @@ impl<M: Clone> TpTree<M> {
     /// plus the transposition table's bound-plateaued footprint.
     pub(crate) fn approx_bytes(&self) -> usize {
         fn walk<M>(node: &TpNode<M>) -> usize {
-            let body = node.lock_body();
-            let own = std::mem::size_of::<TpNode<M>>()
-                + std::mem::size_of::<TpStats>()
-                + body.unexpanded.capacity() * std::mem::size_of::<M>()
-                + body.children.capacity() * std::mem::size_of::<Arc<TpNode<M>>>();
-            own + body.children.iter().map(|c| walk(c)).sum::<usize>()
+            let edges = node.edges.get().map_or(0, |e| e.len());
+            let own = std::mem::size_of::<TpStats>() + edges * std::mem::size_of::<Edge<M>>();
+            own + node.children().map(|(_, c)| walk(c)).sum::<usize>()
         }
-        walk(&self.root) + self.table.as_ref().map_or(0, |t| t.bytes())
+        std::mem::size_of::<TpNode<M>>()
+            + walk(&self.root)
+            + self.table.as_ref().map_or(0, |t| t.bytes())
     }
 
-    /// UCB over `children` with normalised means + max bias, folding
-    /// in-flight descents in per the [`StatsMode`]. With nothing in
-    /// flight both modes compute exactly the sequential formula — the
-    /// keystone of the single-worker bit-identity contract.
-    fn select_child(&self, parent: &TpNode<M>, children: &[Arc<TpNode<M>>]) -> Arc<TpNode<M>> {
+    /// UCB over the published children of `parent` with normalised
+    /// means + max bias, folding in-flight descents in per the
+    /// [`StatsMode`]. With nothing in flight both modes compute exactly
+    /// the sequential formula — the keystone of the single-worker
+    /// bit-identity contract. `None` when no child is published yet:
+    /// every slot is claimed but still being filled by other descents.
+    fn select_child<'t>(
+        &self,
+        parent: &'t TpNode<M>,
+        is_root: bool,
+    ) -> Option<(&'t M, &'t TpNode<M>)> {
         let lo = f64::from_bits(self.lo_bits.load(Ordering::Relaxed));
         let hi = f64::from_bits(self.hi_bits.load(Ordering::Relaxed));
         if !(lo.is_finite() && hi.is_finite()) {
@@ -789,16 +796,9 @@ impl<M: Clone> TpTree<M> {
             // before the next selection). The UCB terms would all be
             // NaN here and NaN comparisons would pile every worker onto
             // child 0, so spread descents by fewest in-flight instead.
-            let mut best = &children[0];
-            let mut best_fl = u32::MAX;
-            for c in children {
-                let fl = c.stats.inflight.load(Ordering::Relaxed);
-                if fl < best_fl {
-                    best_fl = fl;
-                    best = c;
-                }
-            }
-            return best.clone();
+            return parent
+                .children()
+                .min_by_key(|(_, c)| c.stats.inflight.load(Ordering::Relaxed));
         }
         let span = (hi - lo).max(1.0);
         let parent_visits = parent.stats.visits.load(Ordering::Relaxed);
@@ -810,31 +810,29 @@ impl<M: Clone> TpTree<M> {
                 // node's in-flight tally; exclude it so the count is
                 // "other unobserved samples" — and so one worker
                 // reduces exactly to the sequential ln(N).
-                let own = u64::from(parent.mv.is_some());
+                let own = u64::from(!is_root);
                 let others =
                     (parent.stats.inflight.load(Ordering::Relaxed) as u64).saturating_sub(own);
                 ((parent_visits + others).max(1) as f64).ln()
             }
         };
         let mut best_val = f64::NEG_INFINITY;
-        let mut best = &children[0];
-        for c in children {
+        let mut best = None;
+        for (mv, c) in parent.children() {
             let st = &c.stats;
             let visits = st.visits.load(Ordering::Relaxed);
             let fl = st.inflight.load(Ordering::Relaxed) as u64;
+            let total = st.total.load(Ordering::Relaxed) as f64;
             let (mean_raw, n_explore) = match self.stats {
                 StatsMode::VirtualLoss => {
                     // Each in-flight descent counts as one visit scoring
                     // `lo` (the pessimistic bound).
                     let n_eff = (visits + fl).max(1) as f64;
-                    let total =
-                        f64::from_bits(st.total_bits.load(Ordering::Relaxed)) + fl as f64 * lo;
-                    (total / n_eff, n_eff)
+                    ((total + fl as f64 * lo) / n_eff, n_eff)
                 }
                 StatsMode::WuUct => {
                     // Mean of *completed* rollouts only; in-flight
                     // descents widen the exploration denominator.
-                    let total = f64::from_bits(st.total_bits.load(Ordering::Relaxed));
                     let mean = if visits == 0 {
                         lo
                     } else {
@@ -854,24 +852,28 @@ impl<M: Clone> TpTree<M> {
             let maxv = (best_seen - lo) / span;
             let explore = self.exploration * (ln_n / n_explore).sqrt();
             let val = (1.0 - self.max_bias) * mean + self.max_bias * maxv + explore;
-            if val > best_val {
+            if best.is_none() || val > best_val {
                 best_val = val;
-                best = c;
+                best = Some((mv, c));
             }
         }
-        best.clone()
+        best
     }
 
     /// Walks one selection + expansion descent from the root, applying
-    /// moves to `pos` and filling `scr.seq` / `scr.path`. Marks every
-    /// non-root node on the path in-flight; the matching decrement
-    /// happens in [`tp_backprop`]. Rollouts always run *after* this
-    /// returns, outside every structural lock.
+    /// moves to `pos` and filling `scr.seq` / `scr.path`. Takes no lock
+    /// (outside [`LockStrategy::Global`]) and touches no reference
+    /// count: a node's first visitor fills its edge table, a descent
+    /// claims an expansion with one CAS and publishes the child already
+    /// marked in flight, and selection reads only published children.
+    /// Marks every non-root node on the path in-flight; the matching
+    /// decrement happens in [`TpTree::backprop`]. Rollouts always run
+    /// *after* this returns.
     // nmcs-lint: hot-entry
-    fn descend<G>(
-        &self,
+    fn descend<'t, G>(
+        &'t self,
         pos: &mut G,
-        scr: &mut DescentScratch<G>,
+        scr: &mut DescentScratch<'t, G>,
         rng: &mut Rng,
         wctx: &mut SearchCtx,
     ) where
@@ -880,100 +882,91 @@ impl<M: Clone> TpTree<M> {
         let _structure_guard = matches!(self.lock, LockStrategy::Global)
             // nmcs-lint: allow(hot-path) reason="opt-in Global lock strategy (the paper's single-mutex baseline) measured against the sharded default; not on the default path"
             .then(|| self.structure.lock());
-        scr.path.push(self.root.clone());
-        let mut node = self.root.clone();
+        let mut node = &self.root;
+        let mut is_root = true;
+        scr.path.push(node);
         loop {
-            let next: Arc<TpNode<M>>;
-            let expanded_child: bool;
-            {
-                let mut body = node.lock_body();
-                if !body.expanded {
-                    scr.moves.clear();
-                    pos.legal_moves(&mut scr.moves);
-                    body.unexpanded = scr.moves.clone();
-                    body.expanded = true;
-                    // Shuffle once so expansion order is unbiased.
-                    let n = body.unexpanded.len();
-                    for i in (1..n).rev() {
-                        let j = rng.below(i + 1);
-                        body.unexpanded.swap(i, j);
-                    }
+            let edges = node.edges.get_or_init(|| {
+                scr.moves.clear();
+                pos.legal_moves(&mut scr.moves);
+                // Shuffle once so expansion order is unbiased.
+                let n = scr.moves.len();
+                for i in (1..n).rev() {
+                    let j = rng.below(i + 1);
+                    scr.moves.swap(i, j);
                 }
-                // Expand one child if any remain.
-                if let Some(mv) = body.unexpanded.pop() {
-                    if let Some(table) = self.table.as_ref() {
+                Edge::table(&scr.moves)
+            });
+            // Expand one child if any remain: claim the next slot.
+            let mut claimed = node.claimed.load(Ordering::Relaxed);
+            while (claimed as usize) < edges.len() {
+                match node.claimed.compare_exchange_weak(
+                    claimed,
+                    claimed + 1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        let edge = &edges[claimed as usize];
+                        if scr.use_undo {
+                            scr.undo_stack.push(pos.apply(&edge.mv));
+                        } else {
+                            pos.play(&edge.mv);
+                        }
                         // Transposition path: the key is the *child*
                         // position's hash, so the move is applied before
-                        // the node exists. The popped move is exclusively
-                        // ours, so the parent lock can drop first —
-                        // apply/state_hash/intern all run outside node
-                        // locks (`intern` takes only the table's own).
-                        drop(body);
-                        if scr.use_undo {
-                            scr.undo_stack.push(pos.apply(&mv));
-                        } else {
-                            pos.play(&mv);
-                        }
-                        let stats = table.intern(pos.state_hash());
-                        let child = Arc::new(TpNode::with_stats(Some(mv.clone()), stats));
-                        // In-flight before publication, same invariant as
-                        // the in-lock mark below.
-                        child.stats.inflight.fetch_add(1, Ordering::Relaxed);
-                        node.lock_body().children.push(child.clone());
-                        scr.seq.push(mv);
+                        // the node exists.
+                        let stats = match self.table.as_ref() {
+                            Some(table) => table.intern(pos.state_hash()),
+                            None => Arc::new(TpStats::new()),
+                        };
+                        // In flight before publication: a concurrent
+                        // selector must never see a published child with
+                        // a stale zero in-flight count — in VirtualLoss
+                        // mode it would score a raw 0.0 mean instead of
+                        // the pessimistic bound, dog-piling descents onto
+                        // the very line the marker exists to spread.
+                        stats.inflight.fetch_add(1, Ordering::Relaxed);
+                        let child = edge.child.get_or_init(|| TpNode::new(stats));
+                        scr.seq.push(edge.mv.clone());
                         wctx.record_expansion();
                         scr.path.push(child);
                         return;
                     }
-                    let child = Arc::new(TpNode::new(Some(mv)));
-                    body.children.push(child.clone());
-                    next = child;
-                    expanded_child = true;
-                } else if body.children.is_empty() {
-                    return; // terminal leaf
-                } else {
-                    next = self.select_child(&node, &body.children);
-                    expanded_child = false;
+                    Err(seen) => claimed = seen,
                 }
-                // Mark the step in flight *before* releasing the parent
-                // lock: a concurrent selector at this node must never
-                // see a published child (or a just-chosen sibling) with
-                // a stale zero in-flight count — in VirtualLoss mode an
-                // unmarked fresh child would score a raw 0.0 mean
-                // instead of the pessimistic bound, dog-piling descents
-                // onto the very line the marker exists to spread.
-                next.stats.inflight.fetch_add(1, Ordering::Relaxed);
             }
-            let mv = next.mv.clone().expect("non-root");
-            if scr.use_undo {
-                scr.undo_stack.push(pos.apply(&mv));
-            } else {
-                pos.play(&mv);
-            }
-            scr.seq.push(mv);
-            if expanded_child {
-                wctx.record_expansion();
-            } else {
-                wctx.record_nested_move();
-            }
-            scr.path.push(next.clone());
-            if expanded_child {
+            // Fully expanded: select among the published children. A
+            // terminal node has none; so, briefly, does a node whose
+            // every slot was claimed by descents still filling them —
+            // either way the descent ends here and rolls out from `pos`.
+            let Some((mv, next)) = self.select_child(node, is_root) else {
                 return;
+            };
+            next.stats.inflight.fetch_add(1, Ordering::Relaxed);
+            if scr.use_undo {
+                scr.undo_stack.push(pos.apply(mv));
+            } else {
+                pos.play(mv);
             }
+            scr.seq.push(mv.clone());
+            wctx.record_nested_move();
+            scr.path.push(next);
             node = next;
+            is_root = false;
         }
     }
 
     /// Folds one completed rollout into the shared bounds and the
     /// path's atomic statistics, releasing the in-flight markers.
-    fn backprop(&self, path: &[Arc<TpNode<M>>], score: Score) {
+    fn backprop(&self, path: &[&TpNode<M>], score: Score) {
         let s = score as f64;
         f64_cas_min(&self.lo_bits, s);
         f64_cas_max(&self.hi_bits, s);
         for (depth, node) in path.iter().enumerate() {
             let st = &node.stats;
             st.visits.fetch_add(1, Ordering::Relaxed);
-            f64_cas_add(&st.total_bits, s);
+            st.total.fetch_add(score, Ordering::Relaxed);
             st.best.fetch_max(score, Ordering::Relaxed);
             if depth > 0 {
                 st.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -982,8 +975,19 @@ impl<M: Clone> TpTree<M> {
     }
 }
 
-/// Shared state of one tree-parallel run (tree + budget counters +
-/// incumbent), with the two worker-loop shapes as methods.
+/// Keeps `line` as the worker's best when it strictly beats it — the
+/// sequential search's rule, so one worker picks exactly its line. The
+/// loser's buffer comes back in `line` for reuse.
+fn keep_best<M>(best: &mut BestLine<M>, score: Score, line: &mut Vec<M>) {
+    if score > best.0 {
+        best.0 = score;
+        std::mem::swap(&mut best.1, line);
+    }
+}
+
+/// Shared state of one tree-parallel run (tree + budget counters), with
+/// the two worker-loop shapes as methods. Each worker keeps its own best
+/// line and returns it; nothing on the iteration path is locked.
 struct TpRun<'a, G: Game> {
     game: &'a G,
     tree: &'a TpTree<G::Move>,
@@ -991,32 +995,24 @@ struct TpRun<'a, G: Game> {
     /// playout budget matches the sequential run at any width.
     iters: AtomicUsize,
     max_iters: usize,
-    best: Mutex<(Score, Vec<G::Move>)>,
     seed: u64,
     leaf_batch: usize,
     leaf_batch_dynamic: bool,
 }
 
-impl<G> TpRun<'_, G>
+impl<'a, G> TpRun<'a, G>
 where
     G: Game + Send + Sync,
     G::Move: Send + Sync,
 {
-    fn offer_best(&self, score: Score, seq: &mut Vec<G::Move>) {
-        let mut best = self.best.lock();
-        if score > best.0 {
-            best.0 = score;
-            best.1 = std::mem::take(seq);
-        }
-    }
-
     /// The unbatched worker loop: descend, roll out inline, back up —
     /// one iteration at a time, rollouts outside every lock.
-    fn worker_inline(&self, slot: usize, wctx: &mut SearchCtx) {
+    fn worker_inline(&self, slot: usize, wctx: &mut SearchCtx) -> BestLine<G::Move> {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
         let mut shared_pos = self.game.clone();
-        let mut scr = DescentScratch::new(self.game);
+        let mut scr: DescentScratch<'a, G> = DescentScratch::new(self.game);
         let mut playout: PlayoutScratch<G> = PlayoutScratch::new();
+        let mut best = (Score::MIN, Vec::new());
 
         loop {
             let iteration = self.iters.fetch_add(1, Ordering::Relaxed);
@@ -1052,8 +1048,9 @@ where
 
             // ---- backpropagation (lock-free) ----
             self.tree.backprop(&scr.path, score);
-            self.offer_best(score, &mut scr.seq);
+            keep_best(&mut best, score, &mut scr.seq);
         }
+        best
     }
 
     /// The batched-leaf worker loop (WU-UCT's master/worker shape): the
@@ -1066,13 +1063,19 @@ where
     /// is *claimed* (every claimed descent is evaluated), which bounds
     /// budget overshoot by the worker count rather than by
     /// `threads × leaf_batch` in-flight rollouts.
-    fn worker_batched(&self, exec: &ExecutorPool, slot: usize, wctx: &mut SearchCtx) {
+    fn worker_batched(
+        &self,
+        exec: &ExecutorPool,
+        slot: usize,
+        wctx: &mut SearchCtx,
+    ) -> BestLine<G::Move> {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
         let mut shared_pos = self.game.clone();
-        let mut scr = DescentScratch::new(self.game);
-        let slots: Vec<Mutex<SlabSlot<G>>> = (0..self.leaf_batch)
+        let mut scr: DescentScratch<'a, G> = DescentScratch::new(self.game);
+        let slots: Vec<Mutex<SlabSlot<'a, G>>> = (0..self.leaf_batch)
             .map(|_| Mutex::new(SlabSlot::new()))
             .collect();
+        let mut best = (Score::MIN, Vec::new());
         let mut done = false;
 
         while !done {
@@ -1149,9 +1152,10 @@ where
                 }
                 drop(slab);
                 self.tree.backprop(&pending.path, pending.score);
-                self.offer_best(pending.score, &mut pending.seq);
+                keep_best(&mut best, pending.score, &mut pending.seq);
             }
         }
+        best
     }
 }
 
@@ -1159,7 +1163,7 @@ where
 /// seeded by the *iteration index* (not the executing thread), so slab
 /// results are placement-independent. Does **not** record a playout end
 /// — the claiming worker already counted it.
-fn run_slab_slot<G>(slot: &Mutex<SlabSlot<G>>, root_seed: u64)
+fn run_slab_slot<G>(slot: &Mutex<SlabSlot<'_, G>>, root_seed: u64)
 where
     G: Game,
 {
@@ -1191,8 +1195,9 @@ where
 /// room behind `SearchSpec::tree_parallel`.
 ///
 /// Concurrency shape: selection and expansion (cheap pointer-chasing)
-/// run under per-node locks ([`LockStrategy::Sharded`]) or one
-/// structure mutex ([`LockStrategy::Global`], the measured baseline);
+/// run lock-free over CAS-claimed edge slots ([`LockStrategy::Sharded`])
+/// or behind one structure mutex ([`LockStrategy::Global`], the measured
+/// baseline);
 /// rollouts — the dominant cost on every domain we ship — run outside
 /// every lock, inline or as [`ExecutorPool`] slabs (`opts.leaf_batch`);
 /// backpropagation goes straight to the nodes' atomic counters.
@@ -1250,28 +1255,33 @@ where
         tree,
         iters: AtomicUsize::new(0),
         max_iters: config.iterations.max(1),
-        best: Mutex::new((Score::MIN, Vec::new())),
         seed,
         leaf_batch: opts.leaf_batch,
         leaf_batch_dynamic: opts.leaf_batch_dynamic,
     };
-    let outs: Mutex<Vec<SearchCtx>> = Mutex::new(Vec::with_capacity(opts.threads));
+    let outs: Mutex<Vec<WorkerOut<G::Move>>> = Mutex::new(Vec::with_capacity(opts.threads));
     let parent: &SearchCtx = ctx;
 
     exec.run_batch(opts.threads, &|slot| {
         let mut wctx = parent.fork();
-        if run.leaf_batch >= 2 {
-            run.worker_batched(exec, slot, &mut wctx);
+        let best = if run.leaf_batch >= 2 {
+            run.worker_batched(exec, slot, &mut wctx)
         } else {
-            run.worker_inline(slot, &mut wctx);
-        }
-        outs.lock().push(wctx);
+            run.worker_inline(slot, &mut wctx)
+        };
+        outs.lock().push((slot, wctx, best));
     });
 
-    for wctx in outs.into_inner() {
+    // Workers offer their best lines once, here; ties go to the lowest
+    // worker slot, so the pick does not depend on finishing order.
+    let mut outs = outs.into_inner();
+    outs.sort_by_key(|(slot, ..)| *slot);
+    let mut best = (Score::MIN, Vec::new());
+    for (_, wctx, (score, mut line)) in outs {
         ctx.absorb(wctx);
+        keep_best(&mut best, score, &mut line);
     }
-    run.best.into_inner()
+    best
 }
 
 // The unit tests keep exercising the deprecated free functions: they are
@@ -1704,15 +1714,12 @@ mod tests {
         let (_, seq) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 7, &mut ctx);
         let first = seq[0];
 
-        let child_visits = {
-            let body = tree.root.lock_body();
-            let child = body
-                .children
-                .iter()
-                .find(|c| c.mv == Some(first))
-                .expect("the best line's first move was expanded");
-            child.stats.visits.load(Ordering::Relaxed)
-        };
+        let child_visits = tree
+            .root
+            .children()
+            .find(|(mv, _)| **mv == first)
+            .map(|(_, child)| child.stats.visits.load(Ordering::Relaxed))
+            .expect("the best line's first move was expanded");
         assert!(child_visits > 0);
         let bytes_before = tree.approx_bytes();
 
@@ -1722,7 +1729,6 @@ mod tests {
             child_visits,
             "the new root carries the child's visit count"
         );
-        assert!(tree.root.mv.is_none(), "roots have no inbound move");
         assert!(
             tree.approx_bytes() < bytes_before,
             "re-rooting drops the sibling subtrees"
@@ -1852,13 +1858,206 @@ mod tests {
             if !seen.contains(&ptr) {
                 seen.push(ptr);
             }
-            let body = node.lock_body();
-            for c in &body.children {
+            for (_, c) in node.children() {
                 walk(c, seen);
             }
         }
         let mut seen = Vec::new();
         walk(node, &mut seen);
         seen.len()
+    }
+
+    /// A minimal 6×6 SameGame: colours 1..=3 (0 = empty), cell
+    /// `col * 6 + row` with row 0 at the bottom. A move names the first
+    /// cell (in index order) of a same-coloured group of at least two;
+    /// playing it removes the group for `(n - 2)²`, drops the cells
+    /// above and closes empty columns leftwards.
+    #[derive(Clone, Debug)]
+    struct MiniSameGame {
+        cells: [u8; 36],
+        score: Score,
+        played: usize,
+    }
+
+    impl MiniSameGame {
+        fn random(seed: u64) -> Self {
+            let mut rng = Rng::seeded(seed);
+            let mut cells = [0u8; 36];
+            for c in cells.iter_mut() {
+                *c = 1 + rng.below(3) as u8;
+            }
+            MiniSameGame {
+                cells,
+                score: 0,
+                played: 0,
+            }
+        }
+
+        /// The group containing `at`, as a bitmask over cells.
+        fn group(&self, at: usize) -> u64 {
+            let colour = self.cells[at];
+            let mut group = 1u64 << at;
+            let mut stack = vec![at];
+            while let Some(i) = stack.pop() {
+                let (col, row) = (i / 6, i % 6);
+                let mut near = Vec::new();
+                if col > 0 {
+                    near.push(i - 6);
+                }
+                if col < 5 {
+                    near.push(i + 6);
+                }
+                if row > 0 {
+                    near.push(i - 1);
+                }
+                if row < 5 {
+                    near.push(i + 1);
+                }
+                for j in near {
+                    if self.cells[j] == colour && group & (1 << j) == 0 {
+                        group |= 1 << j;
+                        stack.push(j);
+                    }
+                }
+            }
+            group
+        }
+    }
+
+    impl Game for MiniSameGame {
+        type Move = u8;
+        fn legal_moves(&self, out: &mut Vec<u8>) {
+            let mut seen = 0u64;
+            for i in 0..36 {
+                if self.cells[i] == 0 || seen & (1 << i) != 0 {
+                    continue;
+                }
+                let group = self.group(i);
+                seen |= group;
+                if group.count_ones() >= 2 {
+                    out.push(i as u8);
+                }
+            }
+        }
+        fn play(&mut self, mv: &u8) {
+            let group = self.group(*mv as usize);
+            let n = group.count_ones() as Score;
+            self.score += (n - 2) * (n - 2);
+            self.played += 1;
+            let mut columns: Vec<Vec<u8>> = (0..6)
+                .map(|col| {
+                    (0..6)
+                        .map(|row| col * 6 + row)
+                        .filter(|&i| group & (1 << i) == 0 && self.cells[i] != 0)
+                        .map(|i| self.cells[i])
+                        .collect()
+                })
+                .collect();
+            columns.retain(|c| !c.is_empty());
+            self.cells = [0; 36];
+            for (col, cells) in columns.iter().enumerate() {
+                self.cells[col * 6..col * 6 + cells.len()].copy_from_slice(cells);
+            }
+        }
+        fn score(&self) -> Score {
+            self.score
+        }
+        fn moves_played(&self) -> usize {
+            self.played
+        }
+        fn state_hash(&self) -> u64 {
+            self.cells
+                .iter()
+                .fold(0x5a3e, |h, &c| crate::game::mix64(h ^ (u64::from(c) + 1)))
+        }
+    }
+
+    /// Walks the finished tree checking the lock-free structure's
+    /// invariants; `own_stats` says every node has a statistics cell of
+    /// its own (no transposition table), so visit counts nest.
+    fn assert_tree_invariants<M>(node: &TpNode<M>, own_stats: bool, what: &str) {
+        assert_eq!(
+            node.stats.inflight.load(Ordering::Relaxed),
+            0,
+            "{what}: in-flight markers all released"
+        );
+        let moves = node.edges.get().map_or(0, |e| e.len());
+        let claimed = node.claimed.load(Ordering::Relaxed) as usize;
+        let published = node.children().count();
+        assert_eq!(claimed, published, "{what}: every claim was published");
+        assert!(
+            published <= moves,
+            "{what}: {published} children > {moves} moves"
+        );
+        if own_stats {
+            let child_visits: u64 = node
+                .children()
+                .map(|(_, c)| c.stats.visits.load(Ordering::Relaxed))
+                .sum();
+            assert!(
+                child_visits <= node.stats.visits.load(Ordering::Relaxed),
+                "{what}: children visited more than their parent"
+            );
+        }
+        for (_, child) in node.children() {
+            assert_tree_invariants(child, own_stats, what);
+        }
+    }
+
+    fn check_multi_worker_invariants<G>(game: &G, name: &str, iterations: usize)
+    where
+        G: Game + Send + Sync,
+        G::Move: Send + Sync,
+    {
+        let env_workers = std::env::var("NMCS_TEST_WORKERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n: &usize| n >= 1)
+            .unwrap_or(4);
+        let cfg = UctConfig {
+            iterations,
+            ..Default::default()
+        };
+        for threads in [2, 8, env_workers] {
+            for leaf_batch in [0usize, 4] {
+                for reuse in [false, true] {
+                    let opts = TreeParallelOpts {
+                        leaf_batch,
+                        ..TreeParallelOpts::new(threads)
+                    };
+                    let tree = if reuse {
+                        TpTree::with_table(&cfg, opts.lock, opts.stats, 256 * 1024)
+                    } else {
+                        TpTree::new(&cfg, opts.lock, opts.stats)
+                    };
+                    let mut ctx = SearchCtx::unbounded();
+                    let (score, seq) = uct_tree_parallel_on(game, &tree, &cfg, &opts, 5, &mut ctx);
+                    let what = format!("{name} threads {threads} batch {leaf_batch} reuse {reuse}");
+                    let mut replay = game.clone();
+                    for mv in &seq {
+                        replay.play(mv);
+                    }
+                    assert_eq!(replay.score(), score, "{what}: replayable line");
+                    assert_tree_invariants(&tree.root, !reuse, &what);
+                    if !reuse {
+                        assert_eq!(
+                            tree.root.stats.visits.load(Ordering::Relaxed),
+                            ctx.stats().playouts,
+                            "{what}: one root visit per playout"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_worker_trees_keep_the_lock_free_invariants() {
+        let ternary = Ternary {
+            depth: 6,
+            taken: vec![],
+        };
+        check_multi_worker_invariants(&ternary, "ternary", 600);
+        check_multi_worker_invariants(&MiniSameGame::random(3), "samegame 6x6", 600);
     }
 }

@@ -16,9 +16,9 @@
 //!   not itself allocate, but constructing owned containers per call is
 //!   the pattern that grows into per-playout allocation — waive it where
 //!   the buffer genuinely amortises);
-//! * take locks — `.lock()`/`.try_lock()` (tree-parallel descent
-//!   holds per-node `parking_lot` locks *by design* and carries waivers
-//!   saying so);
+//! * take locks — `.lock()`/`.try_lock()` (tree-parallel descent is
+//!   lock-free; only the opt-in `Global` strategy's structure mutex and
+//!   the transposition table's per-expansion lock carry waivers);
 //! * read clocks — `Instant::now()`, `SystemTime`, `monotonic_now()`
 //!   (the strided deadline poll in `SearchCtx::should_stop` is the one
 //!   waived exception);

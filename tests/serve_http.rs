@@ -580,3 +580,23 @@ fn error_paths_answer_400_404_405_as_documented() {
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     server.shutdown();
 }
+
+#[test]
+fn a_deeply_nested_body_is_a_400_not_a_crash() {
+    // A full default-size body of `[` once overflowed the connection
+    // thread's stack inside the JSON parser, aborting the whole server.
+    let server = server(8, 1, 8);
+    let addr = server.addr();
+    let deep = "[".repeat(1024 * 1024);
+    for route in ["/jobs", "/sessions"] {
+        let (status, _, resp) = post(addr, route, &deep);
+        assert_eq!(status, 400, "{route}: {resp}");
+    }
+    let (status, _, body) = get(addr, "/healthz");
+    assert_eq!(
+        (status, body.as_str()),
+        (200, "ok\n"),
+        "the server is still up"
+    );
+    server.shutdown();
+}
