@@ -1,13 +1,12 @@
-//! Criterion coverage of the tree-parallel configuration grid: one
-//! benchmark per (lock strategy × stats mode) point plus the batched
-//! variant, at a small fixed playout budget on the cheap-rollout
-//! SameGame 6x6 board. CI compiles this via `cargo bench --no-run`, so
-//! the `tables --tree` sweep machinery cannot bit-rot; running it
-//! locally gives per-configuration timings with criterion's statistics
-//! on top of the sweep's single-shot table.
+//! Criterion coverage of tree-parallel UCT: one benchmark per worker
+//! count at a small fixed playout budget on the cheap-rollout SameGame
+//! 6x6 board, plus the sequential anchor. CI compiles this via
+//! `cargo bench --no-run`, so the `tables --tree` sweep machinery cannot
+//! bit-rot; running it locally gives per-width timings with criterion's
+//! statistics on top of the sweep's single-shot table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nmcs_core::{LockStrategy, SearchSpec, StatsMode, UctConfig};
+use nmcs_core::{SearchSpec, UctConfig};
 use nmcs_games::SameGame;
 use std::hint::black_box;
 
@@ -17,35 +16,10 @@ fn bench_tree_parallel(c: &mut Criterion) {
         iterations: 400,
         ..UctConfig::default()
     };
-    let workers = 4;
-    let grid: [(&str, LockStrategy, StatsMode, usize); 4] = [
-        (
-            "arena_vloss",
-            LockStrategy::Global,
-            StatsMode::VirtualLoss,
-            0,
-        ),
-        (
-            "sharded_vloss",
-            LockStrategy::Sharded,
-            StatsMode::VirtualLoss,
-            0,
-        ),
-        ("sharded_wuuct", LockStrategy::Sharded, StatsMode::WuUct, 0),
-        (
-            "sharded_wuuct_batch8",
-            LockStrategy::Sharded,
-            StatsMode::WuUct,
-            8,
-        ),
-    ];
-    for (name, lock, stats, leaf_batch) in grid {
-        c.bench_function(format!("tree_parallel_{name}_4w"), |b| {
+    for workers in [1usize, 2, 4] {
+        c.bench_function(format!("tree_parallel_{workers}w"), |b| {
             b.iter(|| {
                 let report = SearchSpec::tree_parallel_with(config.clone(), workers)
-                    .lock_strategy(lock)
-                    .stats_mode(stats)
-                    .leaf_batch(leaf_batch)
                     .seed(7)
                     .run(&game);
                 black_box(report.score)

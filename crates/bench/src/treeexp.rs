@@ -1,16 +1,15 @@
 //! Tree-parallel UCT experiment (`tables --tree`).
 //!
-//! Sweeps **lock strategy × stats mode × worker count** (plus a
-//! batched-leaf column) for `SearchSpec::tree_parallel` on a
-//! cheap-rollout SameGame 6x6 board — the regime where the PR-4
-//! single-arena-mutex serialised selection — and a reduced Morpion
-//! cross, reporting score, wall-clock time, playout throughput, and
-//! each row's throughput relative to the global-mutex / virtual-loss
-//! arena at the same width (`vs arena`). Sequential UCT is the
-//! `workers = 1` anchor: per seed, *every* lock/stats combination at
-//! one worker is bit-identical to `SearchSpec::uct()` — the sweep
-//! asserts it, so the contention experiment can never drift from the
-//! conformance contract.
+//! Sweeps the **worker count** for `SearchSpec::tree_parallel` (lock-free
+//! tree, WU-UCT statistics, inline rollouts) on a cheap-rollout
+//! SameGame 6x6 board — the regime where selection and the shared
+//! counters dominate — and a reduced Morpion cross, reporting score,
+//! wall-clock time, playout throughput, and each row's throughput
+//! relative to the same domain's one-worker row (`vs w1`). Sequential
+//! UCT is the `workers = 1` anchor: per seed, tree-parallel at one
+//! worker is bit-identical to `SearchSpec::uct()` — the sweep asserts
+//! it, so the scaling experiment can never drift from the conformance
+//! contract.
 //!
 //! Unlike the leaf and root sweeps, the score column is **allowed to
 //! move with the worker count** above one worker: tree-parallel workers
@@ -27,27 +26,22 @@
 use crate::pooldelta::PoolProbe;
 use crate::report::Table;
 use morpion::{cross_board, Variant};
-use nmcs_core::{CodedGame, LockStrategy, SearchSpec, Searcher, StatsMode, UctConfig};
+use nmcs_core::{CodedGame, SearchSpec, Searcher, UctConfig};
 use nmcs_games::SameGame;
 use serde::Serialize;
 
-/// One measured (domain × configuration × workers) cell of the
-/// tree-parallel sweep.
+/// One measured (domain × workers) cell of the tree-parallel sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct TreeRow {
     pub domain: String,
     pub threads: usize,
-    pub lock: String,
-    pub stats: String,
-    pub leaf_batch: usize,
     pub score: i64,
     pub elapsed_ms: f64,
     pub playouts: u64,
     pub playouts_per_sec: f64,
-    /// Throughput relative to the global-mutex / virtual-loss arena row
-    /// at the same domain and width (1.0 for the arena row itself) —
-    /// the measured, not asserted, contention win.
-    pub vs_arena: f64,
+    /// Throughput relative to the same domain's one-worker row (1.0 for
+    /// that row itself) — the measured, not asserted, parallel speed-up.
+    pub vs_w1: f64,
     /// Executor-pool deque steals per second during this row's run
     /// (delta of the shared metrics registry around the measurement).
     pub steals_per_sec: f64,
@@ -63,47 +57,7 @@ pub struct TreeRow {
     pub spec: String,
 }
 
-/// One point of the configuration grid.
-#[derive(Debug, Clone, Copy)]
-struct TreeConfigPoint {
-    lock: LockStrategy,
-    stats: StatsMode,
-    leaf_batch: usize,
-}
-
-/// The sweep grid: the PR-4 arena baseline first (the `vs arena`
-/// denominator), then each lever in isolation, then the full stack.
-const GRID: [TreeConfigPoint; 4] = [
-    TreeConfigPoint {
-        lock: LockStrategy::Global,
-        stats: StatsMode::VirtualLoss,
-        leaf_batch: 0,
-    },
-    TreeConfigPoint {
-        lock: LockStrategy::Sharded,
-        stats: StatsMode::VirtualLoss,
-        leaf_batch: 0,
-    },
-    TreeConfigPoint {
-        lock: LockStrategy::Sharded,
-        stats: StatsMode::WuUct,
-        leaf_batch: 0,
-    },
-    TreeConfigPoint {
-        lock: LockStrategy::Sharded,
-        stats: StatsMode::WuUct,
-        leaf_batch: 8,
-    },
-];
-
-fn measure<G>(
-    domain: &str,
-    game: &G,
-    point: TreeConfigPoint,
-    threads: usize,
-    iterations: usize,
-    seed: u64,
-) -> TreeRow
+fn measure<G>(domain: &str, game: &G, threads: usize, iterations: usize, seed: u64) -> TreeRow
 where
     G: CodedGame + Send + Sync,
     G::Move: Send + Sync,
@@ -113,38 +67,29 @@ where
         ..UctConfig::default()
     };
     let spec = SearchSpec::tree_parallel_with(config.clone(), threads)
-        .lock_strategy(point.lock)
-        .stats_mode(point.stats)
-        .leaf_batch(point.leaf_batch)
         .seed(seed)
         .build();
     let probe = PoolProbe::start();
     let report = spec.search(game, None);
     let delta = probe.finish();
-    if threads == 1 && point.leaf_batch < 2 {
-        // The sweep's built-in conformance check: one unbatched worker
-        // ≡ uct, whatever the lock strategy and stats mode.
+    if threads == 1 {
+        // The sweep's built-in conformance check: one worker ≡ uct.
         let uct = SearchSpec::uct_with(config).seed(seed).run(game);
         assert_eq!(
             (report.score, &report.sequence),
             (uct.score, &uct.sequence),
-            "{domain} [{}/{}]: single-worker tree-parallel must equal sequential UCT",
-            point.lock.label(),
-            point.stats.label(),
+            "{domain}: single-worker tree-parallel must equal sequential UCT",
         );
     }
     let secs = report.elapsed.as_secs_f64().max(1e-9);
     TreeRow {
         domain: domain.to_string(),
         threads,
-        lock: point.lock.label().to_string(),
-        stats: point.stats.label().to_string(),
-        leaf_batch: point.leaf_batch,
         score: report.score,
         elapsed_ms: secs * 1e3,
         playouts: report.stats.playouts,
         playouts_per_sec: report.stats.playouts as f64 / secs,
-        vs_arena: 1.0, // filled in by `tree_sweep` once the arena row exists
+        vs_w1: 1.0, // filled in by `sweep_domain` once the width-1 row exists
         steals_per_sec: delta.steals_per_sec(secs),
         parks_per_sec: delta.parks_per_sec(secs),
         wakeups_per_sec: delta.wakeups_per_sec(secs),
@@ -164,26 +109,26 @@ fn sweep_domain<G>(
     G: CodedGame + Send + Sync,
     G::Move: Send + Sync,
 {
+    let base = rows.len();
     for &t in threads {
-        let base = rows.len();
-        for point in GRID {
-            rows.push(measure(domain, game, point, t, iterations, seed));
-        }
-        // The first grid point is the PR-4 arena; normalise the width's
-        // rows against it so the contention win is a printed number.
-        let arena_pps = rows[base].playouts_per_sec.max(1e-9);
+        rows.push(measure(domain, game, t, iterations, seed));
+    }
+    // Normalise the domain's rows against its one-worker row (if the
+    // sweep has one) so the parallel speed-up is a printed number.
+    if let Some(w1) = rows[base..].iter().find(|r| r.threads == 1) {
+        let w1_pps = w1.playouts_per_sec.max(1e-9);
         for row in &mut rows[base..] {
-            row.vs_arena = row.playouts_per_sec / arena_pps;
+            row.vs_w1 = row.playouts_per_sec / w1_pps;
         }
     }
 }
 
-/// Sweeps the tree-parallel configuration grid over worker counts at a
-/// fixed iteration budget (the shared counter keeps total playouts
+/// Sweeps tree-parallel UCT over worker counts at a fixed iteration
+/// budget (the shared counter keeps total playouts
 /// constant per row, so the throughput column isolates parallel
 /// efficiency). The primary domain is a **6x6 SameGame** — rollouts of
-/// a few microseconds, the regime where selection cost and lock
-/// contention dominate — with a reduced Morpion cross as the
+/// a few microseconds, the regime where selection cost and the shared
+/// counters dominate — with a reduced Morpion cross as the
 /// expensive-rollout contrast.
 pub fn tree_sweep(threads: &[usize], iterations: usize, seed: u64) -> Vec<TreeRow> {
     let samegame = SameGame::random(6, 6, 3, seed);
@@ -214,18 +159,15 @@ pub fn tree_sweep(threads: &[usize], iterations: usize, seed: u64) -> Vec<TreeRo
 /// Renders a sweep as a table in the style of the paper harness.
 pub fn tree_table(rows: &[TreeRow]) -> Table {
     let mut table = Table::new(
-        "Tree-parallel UCT: lock strategy x stats mode x workers (vs the single-mutex arena)",
+        "Tree-parallel UCT: workers (vs one worker)",
         &[
             "domain",
             "workers",
-            "lock",
-            "stats",
-            "batch",
             "score",
             "elapsed (ms)",
             "playouts",
             "playouts/sec",
-            "vs arena",
+            "vs w1",
             "steals/s",
             "parks/s",
             "wakeups/s",
@@ -236,14 +178,11 @@ pub fn tree_table(rows: &[TreeRow]) -> Table {
         table.row(&[
             r.domain.clone(),
             r.threads.to_string(),
-            r.lock.clone(),
-            r.stats.clone(),
-            r.leaf_batch.to_string(),
             r.score.to_string(),
             format!("{:.1}", r.elapsed_ms),
             r.playouts.to_string(),
             format!("{:.0}", r.playouts_per_sec),
-            format!("{:.2}x", r.vs_arena),
+            format!("{:.2}x", r.vs_w1),
             format!("{:.0}", r.steals_per_sec),
             format!("{:.0}", r.parks_per_sec),
             format!("{:.0}", r.wakeups_per_sec),
@@ -259,19 +198,17 @@ mod tests {
 
     #[test]
     fn playout_totals_are_invariant_across_the_whole_grid() {
-        // The shared iteration counter: any worker count, lock
-        // strategy, stats mode, or batch size executes the same number
-        // of playouts, so throughput comparisons are fair.
+        // The shared iteration counter: any worker count executes the
+        // same number of playouts, so throughput comparisons are fair.
         let rows = tree_sweep(&[1, 2], 120, 7);
-        for chunk in rows.chunks(GRID.len()) {
-            assert!(chunk.iter().all(|r| r.playouts == chunk[0].playouts));
+        for domain in rows.chunks(2) {
+            assert!(domain.iter().all(|r| r.playouts == domain[0].playouts));
         }
     }
 
     #[test]
     fn rows_are_marked_deterministic_honestly_and_anchor_to_uct() {
-        // `measure` itself asserts the uct anchor for unbatched
-        // single-worker rows, across every lock/stats combination.
+        // `measure` itself asserts the uct anchor for single-worker rows.
         let rows = tree_sweep(&[1, 2], 100, 3);
         for row in &rows {
             assert_eq!(row.deterministic, row.threads == 1, "{:?}", row);
@@ -284,12 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_rows_normalise_to_one() {
-        let rows = tree_sweep(&[1], 80, 5);
-        for chunk in rows.chunks(GRID.len()) {
-            assert!((chunk[0].vs_arena - 1.0).abs() < 1e-12, "{:?}", chunk[0]);
-            assert_eq!(chunk[0].lock, "global");
-            assert_eq!(chunk[0].stats, "vloss");
+    fn width_one_rows_normalise_to_one() {
+        let rows = tree_sweep(&[1, 2], 80, 5);
+        for row in rows.iter().filter(|r| r.threads == 1) {
+            assert!((row.vs_w1 - 1.0).abs() < 1e-12, "{:?}", row);
         }
+        assert_eq!(rows.len(), 4, "two domains x two widths");
     }
 }

@@ -224,8 +224,8 @@ impl ExecutorPool {
     }
 
     /// This pool's metrics registry: park/wakeup/steal/batch counters,
-    /// the idle-workers gauge (what the `leaf_batch_dynamic` heuristic
-    /// reads), and per-worker busy/idle clocks. All reads are atomics.
+    /// the idle-workers gauge, and per-worker busy/idle clocks. All
+    /// reads are atomics.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.shared.metrics
     }
@@ -239,7 +239,7 @@ impl ExecutorPool {
     ///
     /// Floored at one background worker even on a single-core machine:
     /// multi-slot batches then still execute across two real threads, so
-    /// the concurrency machinery (virtual loss, shared meters, stealing)
+    /// the concurrency machinery (in-flight markers, shared meters, stealing)
     /// is exercised everywhere instead of silently degenerating to
     /// inline execution on small boxes.
     pub fn shared() -> &'static ExecutorPool {

@@ -84,7 +84,7 @@ pub use search::{nested_with, sample, MemoryPolicy, NestedConfig, PlayoutScratch
 pub use session::SearchSession;
 pub use spec::{AlgorithmSpec, Budget, CancelToken, SearchBuilder, SearchSpec, Searcher};
 pub use stats::SearchStats;
-pub use uct::{uct_tree_parallel, uct_with, LockStrategy, StatsMode, TreeParallelOpts, UctConfig};
+pub use uct::{uct_tree_parallel, uct_with, UctConfig};
 
 // Deprecated free functions, re-exported so historical `use` paths keep
 // compiling (each is a thin shim over the unified SearchSpec API).

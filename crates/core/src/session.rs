@@ -24,7 +24,7 @@ use crate::nrpa::CodedGame;
 use crate::report::SearchReport;
 use crate::seeds::session_step_seed;
 use crate::spec::{AlgorithmSpec, Budget, CancelToken, SearchSpec, Searcher};
-use crate::uct::{uct_tree_parallel_on, TpTree, TreeParallelOpts, UctConfig, DEFAULT_TT_BYTES};
+use crate::uct::{uct_tree_parallel_on, TpTree, UctConfig, DEFAULT_TT_BYTES};
 
 /// Persistent search state for stepping one game to completion: the
 /// current position, the committed moves, and — when the spec's
@@ -38,8 +38,8 @@ pub struct SearchSession<G: Game> {
     spec: SearchSpec,
     /// `Some` iff the spec enables `tree_reuse` (UCT / tree-parallel).
     tree: Option<TpTree<G::Move>>,
-    /// Knobs of the warm backend, fixed at session open.
-    warm: Option<(UctConfig, TreeParallelOpts)>,
+    /// Tunables and width of the warm backend, fixed at session open.
+    warm: Option<(UctConfig, usize)>,
     step: usize,
     committed: Vec<G::Move>,
 }
@@ -59,35 +59,17 @@ where
             AlgorithmSpec::Uct {
                 config,
                 tree_reuse: true,
-            } => Some((config.clone(), TreeParallelOpts::new(1))),
+            } => Some((config.clone(), 1)),
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
-                lock,
-                stats,
-                leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse: true,
-            } => Some((
-                config.clone(),
-                TreeParallelOpts {
-                    threads: *threads,
-                    lock: *lock,
-                    stats: *stats,
-                    leaf_batch: *leaf_batch,
-                    leaf_batch_dynamic: *leaf_batch_dynamic,
-                },
-            )),
+            } => Some((config.clone(), *threads)),
             _ => None,
         };
-        let tree = warm.as_ref().map(|(config, opts)| {
-            TpTree::with_table(
-                config,
-                opts.lock,
-                opts.stats,
-                table_bytes.unwrap_or(DEFAULT_TT_BYTES),
-            )
-        });
+        let tree = warm
+            .as_ref()
+            .map(|(config, _)| TpTree::with_table(config, table_bytes.unwrap_or(DEFAULT_TT_BYTES)));
         SearchSession {
             game,
             spec,
@@ -125,11 +107,11 @@ where
             };
         }
         let report = match (&self.tree, &self.warm) {
-            (Some(tree), Some((config, opts))) => {
+            (Some(tree), Some((config, threads))) => {
                 let started = crate::metrics::monotonic_now();
                 let mut ctx = SearchCtx::new(&self.spec.budget, cancel);
                 let (score, sequence) =
-                    uct_tree_parallel_on(&self.game, tree, config, opts, step_seed, &mut ctx);
+                    uct_tree_parallel_on(&self.game, tree, config, *threads, step_seed, &mut ctx);
                 let interrupted = ctx.interruption();
                 SearchReport {
                     score,

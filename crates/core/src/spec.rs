@@ -50,10 +50,7 @@ use crate::nrpa::{nrpa_with, CodedGame, NrpaConfig};
 use crate::report::SearchReport;
 use crate::rng::Rng;
 use crate::search::{nested_with, MemoryPolicy, NestedConfig, PlayoutScratch};
-use crate::uct::{
-    uct_tree_parallel_on, uct_with, LockStrategy, StatsMode, TpTree, TreeParallelOpts, UctConfig,
-    DEFAULT_TT_BYTES,
-};
+use crate::uct::{uct_tree_parallel_on, uct_with, TpTree, UctConfig, DEFAULT_TT_BYTES};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -163,8 +160,16 @@ impl Deserialize for Budget {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let opt = |name: &str| v.get_field(name).cloned().unwrap_or(Value::Null);
         let deadline_ms: Option<f64> = Option::from_value(&opt("deadline_ms"))?;
+        // Negative and NaN deadlines clamp to zero; one past `Duration`'s
+        // range is an error, not a panic.
+        let deadline = deadline_ms
+            .map(|ms| {
+                Duration::try_from_secs_f64((ms / 1e3).max(0.0))
+                    .map_err(|_| Error::custom(format!("deadline_ms {ms} is out of range")))
+            })
+            .transpose()?;
         Ok(Budget {
-            deadline: deadline_ms.map(|ms| Duration::from_secs_f64((ms / 1e3).max(0.0))),
+            deadline,
             max_playouts: Option::from_value(&opt("max_playouts"))?,
             max_nodes: Option::from_value(&opt("max_nodes"))?,
         })
@@ -231,31 +236,13 @@ pub enum AlgorithmSpec {
         first_move: bool,
     },
     /// Tree-parallel UCT ([`crate::uct::uct_tree_parallel`]): `threads`
-    /// workers share one tree, with three execution knobs — the
-    /// [`LockStrategy`] (the lock-free tree vs the global arena
-    /// mutex), the [`StatsMode`] (WU-UCT unobserved-sample statistics
-    /// vs plain virtual loss), and `leaf_batch` (≥ 2 hands each
-    /// worker's pending rollouts to the executor pool in slabs). The
-    /// one backend whose multi-worker results are schedule-dependent;
-    /// `threads == 1` is deterministic at any knob setting and (with
-    /// `leaf_batch < 2`) bit-identical to [`AlgorithmSpec::Uct`] per
-    /// seed.
+    /// workers share one lock-free tree with WU-UCT statistics and
+    /// inline rollouts. The one backend whose multi-worker results are
+    /// schedule-dependent; `threads == 1` is bit-identical to
+    /// [`AlgorithmSpec::Uct`] per seed.
     TreeParallel {
         config: UctConfig,
         threads: usize,
-        lock: LockStrategy,
-        stats: StatsMode,
-        leaf_batch: usize,
-        /// With `leaf_batch ≥ 2`: hand a filled slab to the executor
-        /// pool only when its idle-workers gauge shows someone free to
-        /// help; otherwise run the same slots, in the same order with
-        /// the same per-iteration seeds, on the collecting worker
-        /// itself. Purely a placement heuristic: every rollout keeps
-        /// its iteration-derived seed, so the deterministic
-        /// (single-worker) form is bit-identical to the static slab
-        /// path, and multi-worker runs stay within the backend's usual
-        /// schedule-dependence.
-        leaf_batch_dynamic: bool,
         /// Warm-tree mode, as on [`AlgorithmSpec::Uct`]: expansions
         /// intern their position's [`Game::state_hash`] in a bounded
         /// transposition table so transposed lines share statistics.
@@ -290,16 +277,11 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Tree-parallel UCT on `threads` workers with default tunables
-    /// (lock-free tree, WU-UCT statistics, inline rollouts).
+    /// Tree-parallel UCT on `threads` workers with default tunables.
     pub fn tree_parallel(threads: usize) -> Self {
         AlgorithmSpec::TreeParallel {
             config: UctConfig::default(),
             threads,
-            lock: LockStrategy::default(),
-            stats: StatsMode::default(),
-            leaf_batch: 0,
-            leaf_batch_dynamic: false,
             tree_reuse: false,
         }
     }
@@ -334,9 +316,6 @@ impl AlgorithmSpec {
     /// worker: leaf- and root-parallel derive every evaluation's seed
     /// from its logical coordinates, but tree-parallel workers race on
     /// one shared tree, so their interleaving shapes the search itself.
-    /// A *single* tree worker stays deterministic even in batched-leaf
-    /// mode — slab rollouts are seeded by iteration index, so pool
-    /// placement cannot change them.
     pub fn worker_count_deterministic(&self) -> bool {
         !matches!(
             self,
@@ -411,15 +390,10 @@ impl AlgorithmSpec {
             // Unlike leaf/root, the thread count IS part of a
             // tree-parallel identity: the workers race on one shared
             // tree, so different counts genuinely produce different
-            // searches — and so are the lock/stats/batch knobs, which
-            // change which search the racing workers perform.
+            // searches.
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
-                lock,
-                stats,
-                leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => [
                 0xA00,
@@ -427,21 +401,7 @@ impl AlgorithmSpec {
                 config.exploration.to_bits(),
                 config.max_bias.to_bits(),
                 *threads as u64,
-                {
-                    let lock_code = match lock {
-                        LockStrategy::Global => 0u64,
-                        LockStrategy::Sharded => 1,
-                    };
-                    let stats_code = match stats {
-                        StatsMode::VirtualLoss => 0u64,
-                        StatsMode::WuUct => 1,
-                    };
-                    lock_code
-                        | (stats_code << 8)
-                        | ((*leaf_batch_dynamic as u64) << 9)
-                        | ((*tree_reuse as u64) << 10)
-                        | ((*leaf_batch as u64) << 16)
-                },
+                *tree_reuse as u64,
             ],
             AlgorithmSpec::SimulatedAnnealing { config } => [
                 0xB00,
@@ -525,22 +485,11 @@ impl Serialize for AlgorithmSpec {
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
-                lock,
-                stats,
-                leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => vec![
                 kind("tree_parallel"),
                 ("config".to_string(), config.to_value()),
                 ("threads".to_string(), threads.to_value()),
-                ("lock".to_string(), lock.to_value()),
-                ("stats".to_string(), stats.to_value()),
-                ("leaf_batch".to_string(), leaf_batch.to_value()),
-                (
-                    "leaf_batch_dynamic".to_string(),
-                    leaf_batch_dynamic.to_value(),
-                ),
                 ("tree_reuse".to_string(), tree_reuse.to_value()),
             ],
             AlgorithmSpec::SimulatedAnnealing { config } => vec![
@@ -610,35 +559,20 @@ impl Deserialize for AlgorithmSpec {
                 playout_cap: Option::from_value(&opt("playout_cap"))?,
                 first_move: bool::from_value(&opt("first_move")).unwrap_or(false),
             }),
-            "tree_parallel" => Ok(AlgorithmSpec::TreeParallel {
-                config: match v.get_field("config") {
-                    Some(c) => UctConfig::from_value(c)?,
-                    None => UctConfig::default(),
-                },
-                threads: usize::from_value(field("threads")?)?,
-                // Pre-knob (PR-4) rows carry none of these fields; they
-                // replay on the current defaults.
-                lock: match v.get_field("lock") {
-                    Some(l) => LockStrategy::from_value(l)?,
-                    None => LockStrategy::default(),
-                },
-                stats: match v.get_field("stats") {
-                    Some(s) => StatsMode::from_value(s)?,
-                    None => StatsMode::default(),
-                },
-                leaf_batch: match v.get_field("leaf_batch") {
-                    Some(b) => usize::from_value(b)?,
-                    None => 0,
-                },
-                leaf_batch_dynamic: match v.get_field("leaf_batch_dynamic") {
-                    Some(b) => bool::from_value(b)?,
-                    None => false,
-                },
-                tree_reuse: match v.get_field("tree_reuse") {
-                    Some(b) => bool::from_value(b)?,
-                    None => false,
-                },
-            }),
+            "tree_parallel" => {
+                reject_removed_tree_knobs(v)?;
+                Ok(AlgorithmSpec::TreeParallel {
+                    config: match v.get_field("config") {
+                        Some(c) => UctConfig::from_value(c)?,
+                        None => UctConfig::default(),
+                    },
+                    threads: usize::from_value(field("threads")?)?,
+                    tree_reuse: match v.get_field("tree_reuse") {
+                        Some(b) => bool::from_value(b)?,
+                        None => false,
+                    },
+                })
+            }
             "simulated_annealing" => Ok(AlgorithmSpec::SimulatedAnnealing {
                 config: match v.get_field("config") {
                     Some(c) => AnnealingConfig::from_value(c)?,
@@ -648,6 +582,39 @@ impl Deserialize for AlgorithmSpec {
             other => Err(Error::custom(format!("unknown algorithm kind `{other}`"))),
         }
     }
+}
+
+/// Tree-parallel rows written before the search had one configuration
+/// carry four more fields. Each is accepted only at the value that names
+/// the surviving search (lock-free tree, WU-UCT statistics, inline
+/// rollouts), so those rows still replay; any other value is an error
+/// naming the field, never a silent switch to a different search.
+fn reject_removed_tree_knobs(v: &Value) -> Result<(), Error> {
+    for name in ["lock", "stats", "leaf_batch", "leaf_batch_dynamic"] {
+        let Some(x) = v.get_field(name) else {
+            continue;
+        };
+        let surviving = match name {
+            "lock" => matches!(x, Value::Str(s) if s == "Sharded"),
+            "stats" => matches!(x, Value::Str(s) if s == "WuUct"),
+            "leaf_batch" => matches!(u64::from_value(x), Ok(0 | 1)),
+            _ => matches!(x, Value::Bool(false)),
+        };
+        if !surviving {
+            let value = match x {
+                Value::Str(s) => s.clone(),
+                Value::Bool(b) => b.to_string(),
+                Value::U64(n) => n.to_string(),
+                Value::I64(n) => n.to_string(),
+                Value::F64(f) => f.to_string(),
+                other => format!("{other:?}"),
+            };
+            return Err(Error::custom(format!(
+                "removed tree-parallel knob `{name}: {value}`"
+            )));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -782,10 +749,8 @@ impl SearchSpec {
         })
     }
 
-    /// Tree-parallel UCT on `threads` workers (default tunables:
-    /// lock-free tree, WU-UCT statistics, inline rollouts — tune with
-    /// [`SearchBuilder::lock_strategy`], [`SearchBuilder::stats_mode`],
-    /// and [`SearchBuilder::leaf_batch`]). With `threads == 1` this is
+    /// Tree-parallel UCT on `threads` workers (lock-free tree, WU-UCT
+    /// statistics, inline rollouts). With `threads == 1` this is
     /// bit-identical to [`SearchSpec::uct`] per seed; with more
     /// workers, results are schedule-dependent (see
     /// [`AlgorithmSpec::worker_count_deterministic`]).
@@ -793,16 +758,11 @@ impl SearchSpec {
         SearchBuilder::new(AlgorithmSpec::tree_parallel(threads))
     }
 
-    /// Tree-parallel UCT with an explicit [`UctConfig`] (default
-    /// execution knobs; tune with the builder methods).
+    /// Tree-parallel UCT with an explicit [`UctConfig`].
     pub fn tree_parallel_with(config: UctConfig, threads: usize) -> SearchBuilder {
         SearchBuilder::new(AlgorithmSpec::TreeParallel {
             config,
             threads,
-            lock: LockStrategy::default(),
-            stats: StatsMode::default(),
-            leaf_batch: 0,
-            leaf_batch_dynamic: false,
             tree_reuse: false,
         })
     }
@@ -911,14 +871,13 @@ where
             AlgorithmSpec::Uct { config, tree_reuse } => {
                 if *tree_reuse {
                     // Reuse-on routes through the width-1 shared tree
-                    // with a transposition table. A single unbatched
-                    // tree worker is bit-identical to `uct_with` when
-                    // no table intervenes, so the *only* behavioural
-                    // delta of the knob is the statistics sharing it
-                    // exists to provide.
-                    let opts = TreeParallelOpts::new(1);
-                    let tree = TpTree::with_table(config, opts.lock, opts.stats, DEFAULT_TT_BYTES);
-                    uct_tree_parallel_on(game, &tree, config, &opts, self.seed, &mut ctx)
+                    // with a transposition table. A single tree worker
+                    // is bit-identical to `uct_with` when no table
+                    // intervenes, so the *only* behavioural delta of
+                    // the knob is the statistics sharing it exists to
+                    // provide.
+                    let tree = TpTree::with_table(config, DEFAULT_TT_BYTES);
+                    uct_tree_parallel_on(game, &tree, config, 1, self.seed, &mut ctx)
                 } else {
                     let mut rng = Rng::seeded(self.seed);
                     uct_with(game, config, &mut rng, &mut ctx)
@@ -987,25 +946,14 @@ where
             AlgorithmSpec::TreeParallel {
                 config,
                 threads,
-                lock,
-                stats,
-                leaf_batch,
-                leaf_batch_dynamic,
                 tree_reuse,
             } => {
-                let opts = TreeParallelOpts {
-                    threads: *threads,
-                    lock: *lock,
-                    stats: *stats,
-                    leaf_batch: *leaf_batch,
-                    leaf_batch_dynamic: *leaf_batch_dynamic,
-                };
                 let tree = if *tree_reuse {
-                    TpTree::with_table(config, opts.lock, opts.stats, DEFAULT_TT_BYTES)
+                    TpTree::with_table(config, DEFAULT_TT_BYTES)
                 } else {
-                    TpTree::new(config, opts.lock, opts.stats)
+                    TpTree::new(config)
                 };
-                uct_tree_parallel_on(game, &tree, config, &opts, self.seed, &mut ctx)
+                uct_tree_parallel_on(game, &tree, config, *threads, self.seed, &mut ctx)
             }
             AlgorithmSpec::SimulatedAnnealing { config } => {
                 let mut rng = Rng::seeded(self.seed);
@@ -1135,53 +1083,6 @@ impl SearchBuilder {
             AlgorithmSpec::LeafParallel { first_move, .. }
             | AlgorithmSpec::RootParallel { first_move, .. } => *first_move = true,
             _ => {}
-        }
-        self
-    }
-
-    /// How tree-parallel descents lock the shared tree (tree-parallel
-    /// only; ignored by other strategies).
-    pub fn lock_strategy(mut self, strategy: LockStrategy) -> Self {
-        if let AlgorithmSpec::TreeParallel { lock, .. } = &mut self.spec.algorithm {
-            *lock = strategy;
-        }
-        self
-    }
-
-    /// How in-flight tree-parallel descents bias selection
-    /// (tree-parallel only; ignored by other strategies).
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        if let AlgorithmSpec::TreeParallel { stats, .. } = &mut self.spec.algorithm {
-            *stats = mode;
-        }
-        self
-    }
-
-    /// Slab size for batched leaf evaluation — `0`/`1` runs rollouts
-    /// inline on the descending worker, `≥ 2` hands each worker's
-    /// pending rollouts to the executor pool in slabs (tree-parallel
-    /// only; ignored by other strategies).
-    pub fn leaf_batch(mut self, batch: usize) -> Self {
-        if let AlgorithmSpec::TreeParallel { leaf_batch, .. } = &mut self.spec.algorithm {
-            *leaf_batch = batch;
-        }
-        self
-    }
-
-    /// Gates slab hand-off on the pool's idle-workers gauge: a filled
-    /// slab goes to the executor pool only when an idle worker could
-    /// actually pick slots up, and otherwise runs on the collecting
-    /// worker with identical per-iteration seeds — a placement-only
-    /// heuristic that leaves the deterministic single-worker form
-    /// bit-identical to the static slab path (tree-parallel with
-    /// `leaf_batch ≥ 2` only; ignored by other strategies). Part of
-    /// [`AlgorithmSpec::tag`] identity.
-    pub fn leaf_batch_dynamic(mut self, dynamic: bool) -> Self {
-        if let AlgorithmSpec::TreeParallel {
-            leaf_batch_dynamic, ..
-        } = &mut self.spec.algorithm
-        {
-            *leaf_batch_dynamic = dynamic;
         }
         self
     }

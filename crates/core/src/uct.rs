@@ -22,40 +22,31 @@
 //!   parallel-MCTS literature the paper cites: one shared tree, workers
 //!   descending concurrently, visit/value statistics accumulated
 //!   atomically so rollouts (the dominant cost) run outside any lock.
-//!   Three orthogonal knobs ([`TreeParallelOpts`]) control how it
-//!   scales:
+//!   It has one configuration:
 //!
-//!   * [`LockStrategy`] — `Global` serialises every descent behind one
-//!     structure mutex (the original arena behaviour, kept as the
-//!     measured contention baseline); `Sharded` takes no lock at all:
-//!     a node's edge table is filled once by its first visitor, descents
-//!     claim expansions with a CAS and publish children through
-//!     write-once slots (the lock-free tree of Mirsoleimani et al.), so
-//!     concurrent descents share only atomic counters.
-//!   * [`StatsMode`] — `VirtualLoss` counts each in-flight descent as a
-//!     pessimistic visit; `WuUct` implements the unobserved-sample
-//!     statistics of *"Watch the Unobserved: a simple approach to
-//!     parallelizing Monte Carlo tree search"* (Liu et al. 2020), where
-//!     incomplete visits widen only the exploration term and never
-//!     distort the observed mean.
-//!   * `leaf_batch` — with a batch of `B ≥ 2`, each worker collects `B`
-//!     pending descents and hands their rollouts to the
-//!     [`ExecutorPool`] as one slab (per-slot scratch, iteration-keyed
-//!     rollout seeds), overlapping tree walks with leaf evaluation.
+//!   * a **lock-free tree** (Mirsoleimani et al.): a node's edge table
+//!     is filled once by its first visitor, descents claim expansions
+//!     with a CAS and publish children through write-once slots, so
+//!     concurrent descents share only atomic counters;
+//!   * **WU-UCT statistics** (*"Watch the Unobserved: a simple approach
+//!     to parallelizing Monte Carlo tree search"*, Liu et al. 2020):
+//!     in-flight descents widen only the exploration term and never
+//!     distort the observed mean;
+//!   * **inline rollouts**: each worker descends, rolls out and backs
+//!     up one iteration at a time.
 //!
-//!   A single-worker, unbatched tree-parallel run is **bit-identical**
-//!   to [`uct_with`] for the same seed under *any* lock strategy and
-//!   stats mode — both formulas reduce exactly to the sequential one
-//!   when nothing is in flight. Multi-worker runs are inherently
-//!   schedule-dependent and promise only a replayable best line (the
-//!   conformance tests assert both halves).
+//!   A single-worker tree-parallel run is **bit-identical** to
+//!   [`uct_with`] for the same seed — the WU-UCT formula reduces exactly
+//!   to the sequential one when nothing is in flight. Multi-worker runs
+//!   are inherently schedule-dependent and promise only a replayable
+//!   best line (the conformance tests assert both halves).
 
 use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
 use crate::game::{Game, Score, Undo};
 use crate::rng::Rng;
 use crate::search::{PlayoutScratch, SearchResult};
-use crate::seeds::{tree_rollout_seed, tree_worker_seed};
+use crate::seeds::tree_worker_seed;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -260,103 +251,6 @@ pub fn uct_with<G: Game>(
 // Tree-parallel UCT
 // ---------------------------------------------------------------------
 
-/// How concurrent descents lock the shared tree's structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LockStrategy {
-    /// One mutex serialises every selection + expansion (the original
-    /// single-arena-mutex behaviour, kept as the measured contention
-    /// baseline for `tables --tree`).
-    Global,
-    /// No structural lock: descents claim expansions by CAS and publish
-    /// children through write-once edge slots, so selection scales with
-    /// the workers instead of serialising on any mutex. (The name dates
-    /// from the per-node-mutex tree it replaced; it stays for the wire
-    /// format.)
-    #[default]
-    Sharded,
-}
-
-impl LockStrategy {
-    /// Short label for tables and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            LockStrategy::Global => "global",
-            LockStrategy::Sharded => "sharded",
-        }
-    }
-}
-
-/// How in-flight (started, not yet backpropagated) descents are folded
-/// into the selection statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StatsMode {
-    /// Plain virtual loss: each in-flight descent counts as one visit
-    /// scoring the pessimistic bound, dragging both the mean and the
-    /// exploration term down.
-    VirtualLoss,
-    /// WU-UCT (Liu et al. 2020): in-flight descents widen only the
-    /// exploration denominators (`N + O` in both UCB terms) while the
-    /// exploitation mean stays the mean of *completed* rollouts — the
-    /// "watch the unobserved" correction that avoids virtual loss's
-    /// systematic pessimism.
-    #[default]
-    WuUct,
-}
-
-impl StatsMode {
-    /// Short label for tables and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            StatsMode::VirtualLoss => "vloss",
-            StatsMode::WuUct => "wu-uct",
-        }
-    }
-}
-
-/// Execution-shape knobs of [`uct_tree_parallel`] (the algorithmic
-/// tunables stay in [`UctConfig`]). Mirrored field-for-field on
-/// `AlgorithmSpec::TreeParallel` so every knob serde-round-trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeParallelOpts {
-    /// Concurrent tree workers (≥ 1).
-    pub threads: usize,
-    /// How descents lock the shared structure.
-    pub lock: LockStrategy,
-    /// How in-flight descents bias selection.
-    pub stats: StatsMode,
-    /// `0` or `1`: each worker runs its rollouts inline. `B ≥ 2`: each
-    /// worker collects `B` pending descents and evaluates their
-    /// rollouts as one [`ExecutorPool`] slab (WU-UCT's master/worker
-    /// shape), overlapping tree walks with leaf evaluation.
-    pub leaf_batch: usize,
-    /// With `leaf_batch ≥ 2`: hand a filled slab to the pool only when
-    /// its idle-workers gauge shows a free helper, otherwise drain the
-    /// same slots on the collecting worker. Placement-only — slab
-    /// rollouts are seeded by iteration index, so results are
-    /// bit-identical either way.
-    pub leaf_batch_dynamic: bool,
-}
-
-impl TreeParallelOpts {
-    /// Default knobs (lock-free tree, WU-UCT stats, inline rollouts) at
-    /// the given width.
-    pub fn new(threads: usize) -> Self {
-        TreeParallelOpts {
-            threads,
-            lock: LockStrategy::default(),
-            stats: StatsMode::default(),
-            leaf_batch: 0,
-            leaf_batch_dynamic: false,
-        }
-    }
-}
-
-impl Default for TreeParallelOpts {
-    fn default() -> Self {
-        TreeParallelOpts::new(1)
-    }
-}
-
 /// Per-node search statistics of the shared tree, updated atomically so
 /// backpropagation never takes any structural lock.
 struct TpStats {
@@ -368,7 +262,8 @@ struct TpStats {
     /// Best playout score seen through this node.
     best: AtomicI64,
     /// In-flight descents: passed through this node, not yet
-    /// backpropagated. [`StatsMode`] decides how selection reads it.
+    /// backpropagated. WU-UCT selection adds them to the exploration
+    /// denominators.
     inflight: AtomicU32,
 }
 
@@ -624,23 +519,18 @@ fn f64_cas_max(cell: &AtomicU64, candidate: f64) {
     }
 }
 
-/// The shared search tree plus the selection knobs every descent needs.
+/// The shared search tree plus the UCB tunables every descent needs.
 ///
 /// Crate-visible (not public API): `SearchSession` holds one across
 /// steps, re-rooting it on each committed move so the next search
 /// starts warm.
 pub(crate) struct TpTree<M> {
     root: TpNode<M>,
-    /// Taken for the whole selection + expansion of one descent in
-    /// [`LockStrategy::Global`] mode; untouched in `Sharded` mode.
-    structure: Mutex<()>,
     /// Running reward-normalisation bounds, shared by every worker.
     lo_bits: AtomicU64,
     hi_bits: AtomicU64,
     exploration: f64,
     max_bias: f64,
-    lock: LockStrategy,
-    stats: StatsMode,
     /// When present, expansions intern their position's `state_hash`
     /// here and share the statistics cell with transposed lines. Absent
     /// on the reuse-off path, which therefore stays byte-for-byte the
@@ -673,36 +563,6 @@ impl<G: Game> DescentScratch<'_, G> {
     }
 }
 
-/// One pending rollout of a batched-leaf slab: the leaf position a
-/// descent reached, the moves that led there, and the nodes to back the
-/// result up through.
-struct PendingLeaf<'t, G: Game> {
-    pos: G,
-    seq: Vec<G::Move>,
-    path: Vec<&'t TpNode<G::Move>>,
-    iteration: usize,
-    score: Score,
-}
-
-/// Per-slot state of a worker's slab: the pending rollout plus reusable
-/// scratch (legal-move buffer, forked budget context). Slots are locked
-/// uncontended — exactly one pool thread runs each slot of a batch.
-struct SlabSlot<'t, G: Game> {
-    pending: Option<PendingLeaf<'t, G>>,
-    moves: Vec<G::Move>,
-    ctx: Option<SearchCtx>,
-}
-
-impl<G: Game> SlabSlot<'_, G> {
-    fn new() -> Self {
-        SlabSlot {
-            pending: None,
-            moves: Vec::new(),
-            ctx: None,
-        }
-    }
-}
-
 /// A worker's best line so far, offered to the run once, at the end.
 type BestLine<M> = (Score, Vec<M>);
 
@@ -711,29 +571,21 @@ type BestLine<M> = (Score, Vec<M>);
 type WorkerOut<M> = (usize, SearchCtx, BestLine<M>);
 
 impl<M: Clone> TpTree<M> {
-    pub(crate) fn new(config: &UctConfig, lock: LockStrategy, stats: StatsMode) -> Self {
+    pub(crate) fn new(config: &UctConfig) -> Self {
         TpTree {
             root: TpNode::new(Arc::new(TpStats::new())),
-            structure: Mutex::new(()),
             lo_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             hi_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             exploration: config.exploration,
             max_bias: config.max_bias,
-            lock,
-            stats,
             table: None,
         }
     }
 
     /// Like [`TpTree::new`] but with a transposition table bounded to
     /// `table_bytes` — the reuse-on tree.
-    pub(crate) fn with_table(
-        config: &UctConfig,
-        lock: LockStrategy,
-        stats: StatsMode,
-        table_bytes: usize,
-    ) -> Self {
-        let mut tree = TpTree::new(config, lock, stats);
+    pub(crate) fn with_table(config: &UctConfig, table_bytes: usize) -> Self {
+        let mut tree = TpTree::new(config);
         tree.table = Some(TransTable::new(table_bytes));
         tree
     }
@@ -776,10 +628,11 @@ impl<M: Clone> TpTree<M> {
     }
 
     /// UCB over the published children of `parent` with normalised
-    /// means + max bias, folding in-flight descents in per the
-    /// [`StatsMode`]. With nothing in flight both modes compute exactly
-    /// the sequential formula — the keystone of the single-worker
-    /// bit-identity contract. `None` when no child is published yet:
+    /// means + max bias, folding in-flight descents in as WU-UCT does:
+    /// they widen the exploration denominators (`N + O`) while the mean
+    /// stays the mean of completed rollouts. With nothing in flight this
+    /// is exactly the sequential formula — the keystone of the
+    /// single-worker bit-identity contract. `None` when no child is published yet:
     /// every slot is claimed but still being filled by other descents.
     fn select_child<'t>(
         &self,
@@ -802,20 +655,13 @@ impl<M: Clone> TpTree<M> {
         }
         let span = (hi - lo).max(1.0);
         let parent_visits = parent.stats.visits.load(Ordering::Relaxed);
-        let ln_n = match self.stats {
-            StatsMode::VirtualLoss => (parent_visits.max(1) as f64).ln(),
-            StatsMode::WuUct => {
-                // WU-UCT's parent term is ln(N + O). The selecting
-                // descent itself already counts 1 in this (non-root)
-                // node's in-flight tally; exclude it so the count is
-                // "other unobserved samples" — and so one worker
-                // reduces exactly to the sequential ln(N).
-                let own = u64::from(!is_root);
-                let others =
-                    (parent.stats.inflight.load(Ordering::Relaxed) as u64).saturating_sub(own);
-                ((parent_visits + others).max(1) as f64).ln()
-            }
-        };
+        // WU-UCT's parent term is ln(N + O). The selecting descent
+        // itself already counts 1 in this (non-root) node's in-flight
+        // tally; exclude it so the count is "other unobserved samples" —
+        // and so one worker reduces exactly to the sequential ln(N).
+        let own = u64::from(!is_root);
+        let others = (parent.stats.inflight.load(Ordering::Relaxed) as u64).saturating_sub(own);
+        let ln_n = ((parent_visits + others).max(1) as f64).ln();
         let mut best_val = f64::NEG_INFINITY;
         let mut best = None;
         for (mv, c) in parent.children() {
@@ -823,31 +669,19 @@ impl<M: Clone> TpTree<M> {
             let visits = st.visits.load(Ordering::Relaxed);
             let fl = st.inflight.load(Ordering::Relaxed) as u64;
             let total = st.total.load(Ordering::Relaxed) as f64;
-            let (mean_raw, n_explore) = match self.stats {
-                StatsMode::VirtualLoss => {
-                    // Each in-flight descent counts as one visit scoring
-                    // `lo` (the pessimistic bound).
-                    let n_eff = (visits + fl).max(1) as f64;
-                    ((total + fl as f64 * lo) / n_eff, n_eff)
-                }
-                StatsMode::WuUct => {
-                    // Mean of *completed* rollouts only; in-flight
-                    // descents widen the exploration denominator.
-                    let mean = if visits == 0 {
-                        lo
-                    } else {
-                        total / visits as f64
-                    };
-                    (mean, (visits + fl).max(1) as f64)
-                }
-            };
-            // A child whose first visit is still in flight has no real
-            // best yet; rate it at the bound.
-            let best_seen = if visits == 0 {
-                lo
+            // Mean and best of *completed* rollouts only; a child whose
+            // first visit is still in flight has neither yet, so it is
+            // rated at the bound. In-flight descents widen the
+            // exploration denominator.
+            let (mean_raw, best_seen) = if visits == 0 {
+                (lo, lo)
             } else {
-                st.best.load(Ordering::Relaxed) as f64
+                (
+                    total / visits as f64,
+                    st.best.load(Ordering::Relaxed) as f64,
+                )
             };
+            let n_explore = (visits + fl).max(1) as f64;
             let mean = (mean_raw - lo) / span;
             let maxv = (best_seen - lo) / span;
             let explore = self.exploration * (ln_n / n_explore).sqrt();
@@ -862,8 +696,7 @@ impl<M: Clone> TpTree<M> {
 
     /// Walks one selection + expansion descent from the root, applying
     /// moves to `pos` and filling `scr.seq` / `scr.path`. Takes no lock
-    /// (outside [`LockStrategy::Global`]) and touches no reference
-    /// count: a node's first visitor fills its edge table, a descent
+    /// and touches no reference count: a node's first visitor fills its edge table, a descent
     /// claims an expansion with one CAS and publishes the child already
     /// marked in flight, and selection reads only published children.
     /// Marks every non-root node on the path in-flight; the matching
@@ -879,9 +712,6 @@ impl<M: Clone> TpTree<M> {
     ) where
         G: Game<Move = M>,
     {
-        let _structure_guard = matches!(self.lock, LockStrategy::Global)
-            // nmcs-lint: allow(hot-path) reason="opt-in Global lock strategy (the paper's single-mutex baseline) measured against the sharded default; not on the default path"
-            .then(|| self.structure.lock());
         let mut node = &self.root;
         let mut is_root = true;
         scr.path.push(node);
@@ -922,10 +752,10 @@ impl<M: Clone> TpTree<M> {
                         };
                         // In flight before publication: a concurrent
                         // selector must never see a published child with
-                        // a stale zero in-flight count — in VirtualLoss
-                        // mode it would score a raw 0.0 mean instead of
-                        // the pessimistic bound, dog-piling descents onto
-                        // the very line the marker exists to spread.
+                        // a stale zero in-flight count — the warm-up
+                        // spread (fewest in flight first) would pile
+                        // descents onto it, and WU-UCT's `N + O` would
+                        // miss the unobserved sample it already carries.
                         stats.inflight.fetch_add(1, Ordering::Relaxed);
                         let child = edge.child.get_or_init(|| TpNode::new(stats));
                         scr.seq.push(edge.mv.clone());
@@ -986,8 +816,8 @@ fn keep_best<M>(best: &mut BestLine<M>, score: Score, line: &mut Vec<M>) {
 }
 
 /// Shared state of one tree-parallel run (tree + budget counters), with
-/// the two worker-loop shapes as methods. Each worker keeps its own best
-/// line and returns it; nothing on the iteration path is locked.
+/// the worker loop as a method. Each worker keeps its own best line and
+/// returns it; nothing on the iteration path is locked.
 struct TpRun<'a, G: Game> {
     game: &'a G,
     tree: &'a TpTree<G::Move>,
@@ -996,8 +826,6 @@ struct TpRun<'a, G: Game> {
     iters: AtomicUsize,
     max_iters: usize,
     seed: u64,
-    leaf_batch: usize,
-    leaf_batch_dynamic: bool,
 }
 
 impl<'a, G> TpRun<'a, G>
@@ -1005,9 +833,9 @@ where
     G: Game + Send + Sync,
     G::Move: Send + Sync,
 {
-    /// The unbatched worker loop: descend, roll out inline, back up —
-    /// one iteration at a time, rollouts outside every lock.
-    fn worker_inline(&self, slot: usize, wctx: &mut SearchCtx) -> BestLine<G::Move> {
+    /// The worker loop: descend, roll out inline, back up — one
+    /// iteration at a time, rollouts outside every lock.
+    fn worker(&self, slot: usize, wctx: &mut SearchCtx) -> BestLine<G::Move> {
         let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
         let mut shared_pos = self.game.clone();
         let mut scr: DescentScratch<'a, G> = DescentScratch::new(self.game);
@@ -1052,169 +880,31 @@ where
         }
         best
     }
-
-    /// The batched-leaf worker loop (WU-UCT's master/worker shape): the
-    /// worker collects `leaf_batch` pending descents — each marking its
-    /// path in-flight so later descents steer away — then evaluates all
-    /// their rollouts as one [`ExecutorPool`] slab and backs the slab
-    /// up in slot order.
-    ///
-    /// Playouts are counted against the budget meter when the descent
-    /// is *claimed* (every claimed descent is evaluated), which bounds
-    /// budget overshoot by the worker count rather than by
-    /// `threads × leaf_batch` in-flight rollouts.
-    fn worker_batched(
-        &self,
-        exec: &ExecutorPool,
-        slot: usize,
-        wctx: &mut SearchCtx,
-    ) -> BestLine<G::Move> {
-        let mut rng = Rng::seeded(tree_worker_seed(self.seed, slot));
-        let mut shared_pos = self.game.clone();
-        let mut scr: DescentScratch<'a, G> = DescentScratch::new(self.game);
-        let slots: Vec<Mutex<SlabSlot<'a, G>>> = (0..self.leaf_batch)
-            .map(|_| Mutex::new(SlabSlot::new()))
-            .collect();
-        let mut best = (Score::MIN, Vec::new());
-        let mut done = false;
-
-        while !done {
-            // ---- collect up to `leaf_batch` pending descents ----
-            let mut filled = 0usize;
-            while filled < self.leaf_batch {
-                let iteration = self.iters.fetch_add(1, Ordering::Relaxed);
-                if iteration >= self.max_iters {
-                    done = true;
-                    break;
-                }
-                if iteration > 0 && wctx.should_stop() {
-                    done = true;
-                    break;
-                }
-                let mut cloned_pos: Option<G> = None;
-                let pos: &mut G = if scr.use_undo {
-                    debug_assert!(scr.undo_stack.is_empty());
-                    &mut shared_pos
-                } else {
-                    cloned_pos.insert(self.game.clone())
-                };
-                scr.seq.clear();
-                scr.path.clear();
-                self.tree.descend(pos, &mut scr, &mut rng, wctx);
-                // Count the playout at claim time (see the method docs).
-                wctx.record_playout_end();
-                let leaf = if scr.use_undo {
-                    let snapshot = pos.clone();
-                    pos.undo_all(&mut scr.undo_stack);
-                    snapshot
-                } else {
-                    cloned_pos.take().expect("clone-path position")
-                };
-                let mut slab = slots[filled].lock();
-                slab.pending = Some(PendingLeaf {
-                    pos: leaf,
-                    seq: std::mem::take(&mut scr.seq),
-                    path: std::mem::take(&mut scr.path),
-                    iteration,
-                    score: Score::MIN,
-                });
-                slab.ctx = Some(wctx.fork());
-                drop(slab);
-                filled += 1;
-            }
-            if filled == 0 {
-                break;
-            }
-
-            // ---- evaluate the slab (idle pool workers steal slots;
-            // saturated pools degrade to inline draining) ----
-            if filled == 1 {
-                run_slab_slot(&slots[0], self.seed);
-            } else if self.leaf_batch_dynamic && exec.metrics().idle_workers.get() <= 0 {
-                // Dynamic gate: nobody is parked, so a pool hand-off
-                // would only pay submission overhead — drain the same
-                // slots here instead. Each slot's rollout is seeded by
-                // its iteration index, so this placement choice cannot
-                // change any result.
-                for slab in &slots[..filled] {
-                    run_slab_slot(slab, self.seed);
-                }
-            } else {
-                exec.run_batch(filled, &|i| run_slab_slot(&slots[i], self.seed));
-            }
-
-            // ---- back up in slot order ----
-            for slab in &slots[..filled] {
-                let mut slab = slab.lock();
-                let mut pending = slab.pending.take().expect("slab slot was filled");
-                if let Some(slot_ctx) = slab.ctx.take() {
-                    wctx.absorb(slot_ctx);
-                }
-                drop(slab);
-                self.tree.backprop(&pending.path, pending.score);
-                keep_best(&mut best, pending.score, &mut pending.seq);
-            }
-        }
-        best
-    }
 }
 
-/// Evaluates one slab slot: a random rollout from the pending leaf,
-/// seeded by the *iteration index* (not the executing thread), so slab
-/// results are placement-independent. Does **not** record a playout end
-/// — the claiming worker already counted it.
-fn run_slab_slot<G>(slot: &Mutex<SlabSlot<'_, G>>, root_seed: u64)
-where
-    G: Game,
-{
-    let mut slab = slot.lock();
-    let slab = &mut *slab;
-    let Some(pending) = slab.pending.as_mut() else {
-        return;
-    };
-    let ctx = slab.ctx.as_mut().expect("slot ctx set with pending");
-    let mut rng = Rng::seeded(tree_rollout_seed(root_seed, pending.iteration as u64));
-    loop {
-        if ctx.should_stop() {
-            break;
-        }
-        pending.pos.legal_moves_into(&mut slab.moves);
-        if slab.moves.is_empty() {
-            break;
-        }
-        let mv = slab.moves.swap_remove(rng.below(slab.moves.len()));
-        pending.pos.play(&mv);
-        pending.seq.push(mv);
-        ctx.record_playout_move();
-    }
-    pending.score = pending.pos.score();
-}
-
-/// Tree-parallel UCT: `opts.threads` workers share one tree through the
+/// Tree-parallel UCT: `threads` workers share one tree through the
 /// process-wide [`ExecutorPool`], descending concurrently. The engine
 /// room behind `SearchSpec::tree_parallel`.
 ///
 /// Concurrency shape: selection and expansion (cheap pointer-chasing)
-/// run lock-free over CAS-claimed edge slots ([`LockStrategy::Sharded`])
-/// or behind one structure mutex ([`LockStrategy::Global`], the measured
-/// baseline);
-/// rollouts — the dominant cost on every domain we ship — run outside
-/// every lock, inline or as [`ExecutorPool`] slabs (`opts.leaf_batch`);
-/// backpropagation goes straight to the nodes' atomic counters.
-/// In-flight descents steer workers apart per the [`StatsMode`], and
-/// both formulas reduce *exactly* to the sequential one when nothing is
-/// in flight — which is why `threads == 1` (unbatched) is bit-identical
-/// to [`uct_with`] per seed (asserted by `tests/cross_backend.rs`).
+/// run lock-free over CAS-claimed edge slots; rollouts — the dominant
+/// cost on every domain we ship — run inline on each worker, outside
+/// every lock; backpropagation goes straight to the nodes' atomic
+/// counters. In-flight descents steer workers apart through WU-UCT's
+/// exploration denominators, which reduce *exactly* to the sequential
+/// formula when nothing is in flight — which is why `threads == 1` is
+/// bit-identical to [`uct_with`] per seed (asserted by
+/// `tests/cross_backend.rs`).
 ///
 /// Budget/cancellation polls hit every worker once per iteration plus
 /// once per playout move (inside the rollout), sharing one atomic meter
 /// through the forked [`SearchCtx`]s; tree-parallel overshoots a
 /// playout cap by at most one in-flight rollout per worker
-/// (`tests/budget_props.rs` proves the bound at every width and batch).
+/// (`tests/budget_props.rs` proves the bound at every width).
 pub fn uct_tree_parallel<G>(
     game: &G,
     config: &UctConfig,
-    opts: &TreeParallelOpts,
+    threads: usize,
     seed: u64,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>)
@@ -1222,20 +912,20 @@ where
     G: Game + Send + Sync,
     G::Move: Send + Sync,
 {
-    let tree = TpTree::new(config, opts.lock, opts.stats);
-    uct_tree_parallel_on(game, &tree, config, opts, seed, ctx)
+    let tree = TpTree::new(config);
+    uct_tree_parallel_on(game, &tree, config, threads, seed, ctx)
 }
 
 /// Tree-parallel UCT on an *existing* tree: the warm-start entry point
 /// behind [`uct_tree_parallel`] (which passes a fresh tree) and
 /// `SearchSession` (which keeps one across steps, re-rooted per
-/// committed move). The tree's selection knobs were fixed at its
+/// committed move). The tree's UCB tunables were fixed at its
 /// construction and must match `config`.
 pub(crate) fn uct_tree_parallel_on<G>(
     game: &G,
     tree: &TpTree<G::Move>,
     config: &UctConfig,
-    opts: &TreeParallelOpts,
+    threads: usize,
     seed: u64,
     ctx: &mut SearchCtx,
 ) -> (Score, Vec<G::Move>)
@@ -1243,32 +933,22 @@ where
     G: Game + Send + Sync,
     G::Move: Send + Sync,
 {
-    assert!(
-        opts.threads >= 1,
-        "tree-parallel UCT needs at least one worker"
-    );
+    assert!(threads >= 1, "tree-parallel UCT needs at least one worker");
     debug_assert_eq!(tree.exploration.to_bits(), config.exploration.to_bits());
     debug_assert_eq!(tree.max_bias.to_bits(), config.max_bias.to_bits());
-    let exec = ExecutorPool::shared();
     let run = TpRun {
         game,
         tree,
         iters: AtomicUsize::new(0),
         max_iters: config.iterations.max(1),
         seed,
-        leaf_batch: opts.leaf_batch,
-        leaf_batch_dynamic: opts.leaf_batch_dynamic,
     };
-    let outs: Mutex<Vec<WorkerOut<G::Move>>> = Mutex::new(Vec::with_capacity(opts.threads));
+    let outs: Mutex<Vec<WorkerOut<G::Move>>> = Mutex::new(Vec::with_capacity(threads));
     let parent: &SearchCtx = ctx;
 
-    exec.run_batch(opts.threads, &|slot| {
+    ExecutorPool::shared().run_batch(threads, &|slot| {
         let mut wctx = parent.fork();
-        let best = if run.leaf_batch >= 2 {
-            run.worker_batched(exec, slot, &mut wctx)
-        } else {
-            run.worker_inline(slot, &mut wctx)
-        };
+        let best = run.worker(slot, &mut wctx);
         outs.lock().push((slot, wctx, best));
     });
 
@@ -1476,23 +1156,11 @@ mod tests {
         assert_eq!(a.sequence, b.sequence);
     }
 
-    /// Every lock × stats combination, unbatched.
-    fn all_modes(threads: usize) -> Vec<TreeParallelOpts> {
-        let mut out = Vec::new();
-        for lock in [LockStrategy::Global, LockStrategy::Sharded] {
-            for stats in [StatsMode::VirtualLoss, StatsMode::WuUct] {
-                out.push(TreeParallelOpts {
-                    threads,
-                    lock,
-                    stats,
-                    leaf_batch: 0,
-                    leaf_batch_dynamic: false,
-                });
-            }
-        }
-        out
-    }
-
+    /// Single-worker tree-parallel ≡ sequential UCT per seed, in both
+    /// modes of running it: on a fresh tree ([`uct_tree_parallel`]) and
+    /// on a caller-held one ([`uct_tree_parallel_on`], the session
+    /// path) — WU-UCT reduces to the sequential formula when nothing is
+    /// in flight.
     #[test]
     fn single_worker_tree_parallel_is_bit_identical_to_sequential_in_every_mode() {
         let cfg = UctConfig {
@@ -1506,12 +1174,17 @@ mod tests {
             };
             let mut seq_ctx = SearchCtx::unbounded();
             let sequential = uct_with(&g, &cfg, &mut Rng::seeded(seed), &mut seq_ctx);
-            for opts in all_modes(1) {
-                let mut tp_ctx = SearchCtx::unbounded();
-                let tree = uct_tree_parallel(&g, &cfg, &opts, seed, &mut tp_ctx);
-                assert_eq!(tree, sequential, "seed {seed} {opts:?}");
-                assert_eq!(tp_ctx.stats(), seq_ctx.stats(), "seed {seed} {opts:?}");
-            }
+
+            let mut fresh_ctx = SearchCtx::unbounded();
+            let fresh = uct_tree_parallel(&g, &cfg, 1, seed, &mut fresh_ctx);
+            assert_eq!(fresh, sequential, "seed {seed} fresh tree");
+            assert_eq!(fresh_ctx.stats(), seq_ctx.stats(), "seed {seed} fresh tree");
+
+            let tree = TpTree::new(&cfg);
+            let mut held_ctx = SearchCtx::unbounded();
+            let held = uct_tree_parallel_on(&g, &tree, &cfg, 1, seed, &mut held_ctx);
+            assert_eq!(held, sequential, "seed {seed} held tree");
+            assert_eq!(held_ctx.stats(), seq_ctx.stats(), "seed {seed} held tree");
         }
     }
 
@@ -1528,11 +1201,9 @@ mod tests {
             });
             let mut seq_ctx = SearchCtx::unbounded();
             let sequential = uct_with(&g, &cfg, &mut Rng::seeded(seed), &mut seq_ctx);
-            for opts in all_modes(1) {
-                let mut tp_ctx = SearchCtx::unbounded();
-                let tree = uct_tree_parallel(&g, &cfg, &opts, seed, &mut tp_ctx);
-                assert_eq!(tree, sequential, "seed {seed} {opts:?}");
-            }
+            let mut tp_ctx = SearchCtx::unbounded();
+            let tree = uct_tree_parallel(&g, &cfg, 1, seed, &mut tp_ctx);
+            assert_eq!(tree, sequential, "seed {seed}");
         }
     }
 
@@ -1547,57 +1218,16 @@ mod tests {
             ..Default::default()
         };
         for workers in [2usize, 4] {
-            for mut opts in all_modes(workers) {
-                for leaf_batch in [0usize, 4] {
-                    opts.leaf_batch = leaf_batch;
-                    let mut ctx = SearchCtx::unbounded();
-                    let (score, seq) = uct_tree_parallel(&g, &cfg, &opts, 9, &mut ctx);
-                    let mut replay = g.clone();
-                    for mv in &seq {
-                        replay.play(mv);
-                    }
-                    assert_eq!(replay.score(), score, "{opts:?}");
-                    // The iteration counter is shared: total playouts equal
-                    // the configured budget no matter how many workers (or
-                    // slab slots) split it.
-                    assert_eq!(ctx.stats().playouts, 400, "{opts:?}");
-                }
+            let mut ctx = SearchCtx::unbounded();
+            let (score, seq) = uct_tree_parallel(&g, &cfg, workers, 9, &mut ctx);
+            let mut replay = g.clone();
+            for mv in &seq {
+                replay.play(mv);
             }
-        }
-    }
-
-    #[test]
-    fn batched_single_worker_runs_are_schedule_independent() {
-        // A one-worker batched run claims, evaluates (iteration-seeded),
-        // and backs up serially, so pool placement cannot change it:
-        // repeated runs are identical, on both game paths.
-        let cfg = UctConfig {
-            iterations: 300,
-            ..Default::default()
-        };
-        let opts = TreeParallelOpts {
-            leaf_batch: 4,
-            ..TreeParallelOpts::new(1)
-        };
-        for seed in 0..5 {
-            let g = Ternary {
-                depth: 5,
-                taken: vec![],
-            };
-            let mut ctx_a = SearchCtx::unbounded();
-            let a = uct_tree_parallel(&g, &cfg, &opts, seed, &mut ctx_a);
-            let mut ctx_b = SearchCtx::unbounded();
-            let b = uct_tree_parallel(&g, &cfg, &opts, seed, &mut ctx_b);
-            assert_eq!(a, b, "seed {seed}");
-            assert_eq!(ctx_a.stats(), ctx_b.stats(), "seed {seed}");
-
-            let fast = FastTernary(g.clone());
-            let mut ctx_f = SearchCtx::unbounded();
-            let f1 = uct_tree_parallel(&fast, &cfg, &opts, seed, &mut ctx_f);
-            let mut ctx_g = SearchCtx::unbounded();
-            let f2 = uct_tree_parallel(&fast, &cfg, &opts, seed, &mut ctx_g);
-            assert_eq!(f1, f2, "fast-path seed {seed}");
-            assert_eq!(ctx_f.stats(), ctx_g.stats(), "fast-path seed {seed}");
+            assert_eq!(replay.score(), score, "{workers} workers");
+            // The iteration counter is shared: total playouts equal the
+            // configured budget no matter how many workers split it.
+            assert_eq!(ctx.stats().playouts, 400, "{workers} workers");
         }
     }
 
@@ -1611,17 +1241,9 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        for opts in [
-            TreeParallelOpts::new(4),
-            TreeParallelOpts {
-                leaf_batch: 4,
-                ..TreeParallelOpts::new(4)
-            },
-        ] {
-            let mut ctx = SearchCtx::unbounded();
-            let (score, _) = uct_tree_parallel(&g, &cfg, &opts, 1, &mut ctx);
-            assert_eq!(score, optimum(4), "{opts:?}");
-        }
+        let mut ctx = SearchCtx::unbounded();
+        let (score, _) = uct_tree_parallel(&g, &cfg, 4, 1, &mut ctx);
+        assert_eq!(score, optimum(4));
     }
 
     #[test]
@@ -1634,14 +1256,11 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        for mut opts in all_modes(3) {
-            for leaf_batch in [0usize, 3] {
-                opts.leaf_batch = leaf_batch;
-                let mut ctx = SearchCtx::unbounded();
-                let (score, seq) = uct_tree_parallel(&g, &cfg, &opts, 1, &mut ctx);
-                assert_eq!(score, 0, "{opts:?}");
-                assert!(seq.is_empty(), "{opts:?}");
-            }
+        for threads in [1usize, 3] {
+            let mut ctx = SearchCtx::unbounded();
+            let (score, seq) = uct_tree_parallel(&g, &cfg, threads, 1, &mut ctx);
+            assert_eq!(score, 0, "{threads} workers");
+            assert!(seq.is_empty(), "{threads} workers");
         }
     }
 
@@ -1708,10 +1327,9 @@ mod tests {
             iterations: 500,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
-        let mut tree = TpTree::new(&cfg, opts.lock, opts.stats);
+        let mut tree = TpTree::new(&cfg);
         let mut ctx = SearchCtx::unbounded();
-        let (_, seq) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 7, &mut ctx);
+        let (_, seq) = uct_tree_parallel_on(&g, &tree, &cfg, 1, 7, &mut ctx);
         let first = seq[0];
 
         let child_visits = tree
@@ -1750,12 +1368,11 @@ mod tests {
             iterations: 300,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
         for seed in 0..5 {
             let run = |cfg: &UctConfig| {
-                let tree = TpTree::with_table(cfg, opts.lock, opts.stats, 256 * 1024);
+                let tree = TpTree::with_table(cfg, 256 * 1024);
                 let mut ctx = SearchCtx::unbounded();
-                let out = uct_tree_parallel_on(&g, &tree, cfg, &opts, seed, &mut ctx);
+                let out = uct_tree_parallel_on(&g, &tree, cfg, 1, seed, &mut ctx);
                 (out, *ctx.stats())
             };
             let a = run(&cfg);
@@ -1775,10 +1392,9 @@ mod tests {
             ..Default::default()
         };
         for threads in [1usize, 4] {
-            let opts = TreeParallelOpts::new(threads);
-            let tree = TpTree::with_table(&cfg, opts.lock, opts.stats, 1024 * 1024);
+            let tree = TpTree::with_table(&cfg, 1024 * 1024);
             let mut ctx = SearchCtx::unbounded();
-            let (score, seq) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 3, &mut ctx);
+            let (score, seq) = uct_tree_parallel_on(&g, &tree, &cfg, threads, 3, &mut ctx);
             assert_eq!(score, optimum(4), "threads {threads}");
             let mut replay = g.clone();
             for mv in &seq {
@@ -1829,10 +1445,9 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        let opts = TreeParallelOpts::new(1);
-        let tree = TpTree::with_table(&cfg, opts.lock, opts.stats, 1024 * 1024);
+        let tree = TpTree::with_table(&cfg, 1024 * 1024);
         let mut ctx = SearchCtx::unbounded();
-        let (score, _) = uct_tree_parallel_on(&g, &tree, &cfg, &opts, 5, &mut ctx);
+        let (score, _) = uct_tree_parallel_on(&g, &tree, &cfg, 1, 5, &mut ctx);
         assert_eq!(score, 0b111100, "the four heaviest items win");
         let (hits, _) = tree.table().expect("reuse-on tree").counters();
         assert!(
@@ -2019,33 +1634,27 @@ mod tests {
             ..Default::default()
         };
         for threads in [2, 8, env_workers] {
-            for leaf_batch in [0usize, 4] {
-                for reuse in [false, true] {
-                    let opts = TreeParallelOpts {
-                        leaf_batch,
-                        ..TreeParallelOpts::new(threads)
-                    };
-                    let tree = if reuse {
-                        TpTree::with_table(&cfg, opts.lock, opts.stats, 256 * 1024)
-                    } else {
-                        TpTree::new(&cfg, opts.lock, opts.stats)
-                    };
-                    let mut ctx = SearchCtx::unbounded();
-                    let (score, seq) = uct_tree_parallel_on(game, &tree, &cfg, &opts, 5, &mut ctx);
-                    let what = format!("{name} threads {threads} batch {leaf_batch} reuse {reuse}");
-                    let mut replay = game.clone();
-                    for mv in &seq {
-                        replay.play(mv);
-                    }
-                    assert_eq!(replay.score(), score, "{what}: replayable line");
-                    assert_tree_invariants(&tree.root, !reuse, &what);
-                    if !reuse {
-                        assert_eq!(
-                            tree.root.stats.visits.load(Ordering::Relaxed),
-                            ctx.stats().playouts,
-                            "{what}: one root visit per playout"
-                        );
-                    }
+            for reuse in [false, true] {
+                let tree = if reuse {
+                    TpTree::with_table(&cfg, 256 * 1024)
+                } else {
+                    TpTree::new(&cfg)
+                };
+                let mut ctx = SearchCtx::unbounded();
+                let (score, seq) = uct_tree_parallel_on(game, &tree, &cfg, threads, 5, &mut ctx);
+                let what = format!("{name} threads {threads} reuse {reuse}");
+                let mut replay = game.clone();
+                for mv in &seq {
+                    replay.play(mv);
+                }
+                assert_eq!(replay.score(), score, "{what}: replayable line");
+                assert_tree_invariants(&tree.root, !reuse, &what);
+                if !reuse {
+                    assert_eq!(
+                        tree.root.stats.visits.load(Ordering::Relaxed),
+                        ctx.stats().playouts,
+                        "{what}: one root visit per playout"
+                    );
                 }
             }
         }

@@ -22,15 +22,14 @@ pub type JobId = u64;
 /// Parallel variants compose with the engine transparently: a
 /// leaf-/root-/tree-parallel replica fans its inner work out on the
 /// process-wide `nmcs_core::ExecutorPool` (shared with every other
-/// replica — no per-job thread spawns; tree-parallel batched-leaf
-/// slabs nest on the same pool), while the engine's own pool below
+/// replica — no per-job thread spawns), while the engine's own pool below
 /// schedules whole replicas. One caveat is inherited from the core:
 /// `Algorithm::TreeParallel` above one worker is the only variant
 /// whose replica results are not reproducible bit-for-bit from
 /// `ReplicaResult::seed_used` (see
-/// `AlgorithmSpec::worker_count_deterministic`; the lock-strategy /
-/// stats-mode / leaf-batch knobs are part of the job's `tag()`
-/// identity, so two jobs differing only in a knob are not duplicates);
+/// `AlgorithmSpec::worker_count_deterministic`; its width and
+/// `tree_reuse` are part of the job's `tag()` identity, so two jobs
+/// differing only in one of them are not duplicates);
 /// its replay invariant — sequence replays to score — still holds and
 /// is what the engine's merge relies on.
 pub type Algorithm = nmcs_core::AlgorithmSpec;

@@ -17,8 +17,8 @@
 //!   the pattern that grows into per-playout allocation — waive it where
 //!   the buffer genuinely amortises);
 //! * take locks — `.lock()`/`.try_lock()` (tree-parallel descent is
-//!   lock-free; only the opt-in `Global` strategy's structure mutex and
-//!   the transposition table's per-expansion lock carry waivers);
+//!   lock-free; only the transposition table's per-expansion lock
+//!   carries a waiver);
 //! * read clocks — `Instant::now()`, `SystemTime`, `monotonic_now()`
 //!   (the strided deadline poll in `SearchCtx::should_stop` is the one
 //!   waived exception);

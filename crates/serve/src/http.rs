@@ -5,12 +5,14 @@
 //!
 //! Hard limits protect the server from hostile peers: headers are
 //! capped at [`MAX_HEAD_BYTES`], bodies at the caller's `max_body`, and
-//! both sides run under socket read/write timeouts set by the
-//! connection handler.
+//! a whole request — head and body — must arrive within the caller's
+//! timeout, however slowly the peer trickles it.
 
+use nmcs_core::metrics::monotonic_now;
 use std::io::{Read, Write};
 // nmcs-lint: allow(socket-discipline) reason="the HTTP edge: every socket read/write of the serve crate funnels through this module"
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -21,7 +23,7 @@ pub enum HttpError {
     /// Connection closed before a complete request arrived (clean EOF
     /// between keep-alive requests surfaces as `Eof` with no bytes).
     Eof,
-    /// Socket error (including read timeouts).
+    /// Socket error (including a request that missed its deadline).
     Io(std::io::Error),
     /// The peer sent something that is not HTTP/1.x, or exceeded a
     /// limit. The string is safe to echo in a 400 body.
@@ -77,8 +79,15 @@ impl Request {
 }
 
 /// Reads one request. Blocks until a full head (and declared body)
-/// arrives, the socket times out, or a limit trips.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+/// arrives, `timeout` has passed since the call, or a limit trips. The
+/// timeout bounds the whole request, not each `read`, so a peer sending
+/// one byte at a time cannot hold the connection past it.
+pub fn read_request(
+    stream: &mut TcpStream,
+    max_body: usize,
+    timeout: Duration,
+) -> Result<Request, HttpError> {
+    let deadline = monotonic_now() + timeout;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -88,7 +97,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::Malformed("request head too large"));
         }
-        let n = stream.read(&mut chunk)?;
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             return if buf.is_empty() {
                 Err(HttpError::Eof)
@@ -147,7 +156,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-body"));
         }
@@ -162,6 +171,21 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         headers,
         body,
     })
+}
+
+/// One `read` that cannot outlast `deadline`: the socket timeout is set
+/// to the time remaining before every read.
+fn read_before(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, HttpError> {
+    let left = deadline.saturating_duration_since(monotonic_now());
+    if left.is_zero() {
+        return Err(HttpError::Io(std::io::ErrorKind::TimedOut.into()));
+    }
+    stream.set_read_timeout(Some(left))?;
+    Ok(stream.read(buf)?)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {

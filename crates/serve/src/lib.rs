@@ -69,8 +69,10 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Terminal jobs kept for late polls.
     pub retain_terminal: usize,
-    /// Socket read timeout per request (also bounds a dead client's
-    /// hold on a connection thread).
+    /// Deadline for reading one whole request, head and body, counted
+    /// from when the connection starts waiting for it. Past it the
+    /// connection closes, so neither an idle keep-alive client nor one
+    /// trickling bytes can hold a connection thread longer.
     pub read_timeout: Duration,
     /// Poll interval of the progress stream.
     pub stream_interval: Duration,
@@ -179,15 +181,35 @@ impl Drop for Server {
     }
 }
 
+/// Pause of `accept_loop` after a failed `accept`: it starts at the
+/// minimum, doubles per consecutive failure up to the maximum, and
+/// resets on the next successful accept.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 fn accept_loop(
     listener: TcpListener,
     ctx: Arc<ServerCtx>,
     conn_threads: Arc<parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     loop {
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
+            Ok((stream, _)) => {
+                backoff = ACCEPT_BACKOFF_MIN;
+                stream
+            }
+            Err(_) => {
+                // Errors such as EMFILE do not clear on an immediate
+                // retry; back off instead of spinning on them.
+                ctx.metrics.accept_error();
+                if !ctx.accepting.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
         };
         if !ctx.accepting.load(Ordering::Acquire) {
             return;
@@ -208,10 +230,13 @@ fn accept_loop(
 }
 
 fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>) {
-    let _ = stream.set_read_timeout(Some(ctx.config.read_timeout));
     let _ = stream.set_nodelay(true);
     loop {
-        let request = match http::read_request(&mut stream, ctx.config.max_body_bytes) {
+        let request = match http::read_request(
+            &mut stream,
+            ctx.config.max_body_bytes,
+            ctx.config.read_timeout,
+        ) {
             Ok(req) => req,
             Err(HttpError::Eof) | Err(HttpError::Io(_)) => return,
             Err(HttpError::BodyTooLarge) => {

@@ -1,6 +1,6 @@
-//! Serve-edge observability: per-route latency histograms and
-//! shed-by-reason counters, appended below the engine section of the
-//! `/metrics` text exposition.
+//! Serve-edge observability: per-route latency histograms,
+//! shed-by-reason counters and failed accepts, appended below the
+//! engine section of the `/metrics` text exposition.
 //!
 //! Route labels and shed reasons are both small closed sets of static
 //! strings, so the histograms ride the core's lock-free
@@ -34,6 +34,8 @@ pub struct ServeMetrics {
     routes: TagHistograms,
     /// Requests refused, by reason, indexed like [`SHED_REASONS`].
     shed: [AtomicU64; SHED_REASONS.len()],
+    /// Failed `accept` calls on the listener.
+    accept_errors: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -43,6 +45,7 @@ impl ServeMetrics {
         ServeMetrics {
             routes: TagHistograms::new(),
             shed: [ZERO; SHED_REASONS.len()],
+            accept_errors: AtomicU64::new(0),
         }
     }
 
@@ -59,6 +62,11 @@ impl ServeMetrics {
         if let Some(i) = SHED_REASONS.iter().position(|r| *r == reason) {
             self.shed[i].fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts one failed `accept` on the listener.
+    pub fn accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Shed count for one reason (test hook).
@@ -103,6 +111,11 @@ impl ServeMetrics {
                 counter.load(Ordering::Relaxed)
             );
         }
+        let _ = writeln!(
+            s,
+            "serve_accept_errors_total {}",
+            self.accept_errors.load(Ordering::Relaxed)
+        );
     }
 }
 
@@ -137,6 +150,7 @@ mod tests {
         m.shed("queue-full");
         m.shed("queue-full");
         m.shed("not-a-reason"); // ignored, not a panic
+        m.accept_error();
         let mut s = String::new();
         m.render_into(&mut s);
         assert!(s.contains("serve_route_seconds_count{route=\"POST /jobs\"} 2"));
@@ -144,6 +158,7 @@ mod tests {
         assert!(s.contains("serve_shed_total{reason=\"tenant-quota\"} 1"));
         assert!(s.contains("serve_shed_total{reason=\"queue-full\"} 2"));
         assert!(s.contains("serve_shed_total{reason=\"deadline\"} 0"));
+        assert!(s.contains("serve_accept_errors_total 1"));
         // Every line obeys the `name{labels} value` grammar the soak's
         // parser checks.
         for line in s.lines() {

@@ -62,9 +62,9 @@ fn main() {
 
     // 3. Tree-level parallelism — the scheme from the parallel-MCTS
     //    literature the paper cites — through the same front door: one
-    //    shared UCT tree with per-node (sharded) locks and WU-UCT
-    //    unobserved-sample statistics steering concurrent workers
-    //    apart. One worker is bit-identical to `SearchSpec::uct()`;
+    //    shared, lock-free UCT tree (CAS-claimed child slots) with
+    //    WU-UCT unobserved-sample statistics steering concurrent
+    //    workers apart. One worker is bit-identical to `SearchSpec::uct()`;
     //    more workers trade determinism for wall-clock (the honest
     //    contract is on `AlgorithmSpec::worker_count_deterministic`).
     for workers in [1usize, 4] {
@@ -75,31 +75,6 @@ fn main() {
             tree.stats.playouts,
             tree.elapsed,
             if workers == 1 { "  (≡ uct)" } else { "" }
-        );
-    }
-
-    //    The execution knobs are builder methods: the PR-4 global arena
-    //    mutex and plain virtual loss remain available as the measured
-    //    baseline, and batched-leaf mode hands each worker's rollouts
-    //    to the executor pool in slabs (WU-UCT's master/worker shape).
-    {
-        use pnmcs::search::{LockStrategy, StatsMode};
-        let arena = SearchSpec::tree_parallel(4)
-            .lock_strategy(LockStrategy::Global)
-            .stats_mode(StatsMode::VirtualLoss)
-            .seed(seed)
-            .run(&board);
-        let batched = SearchSpec::tree_parallel(4)
-            .leaf_batch(8)
-            .seed(seed)
-            .run(&board);
-        println!(
-            "tree×4 global/vloss (arena baseline): score {} in {:.2?}",
-            arena.score, arena.elapsed
-        );
-        println!(
-            "tree×4 sharded/wu-uct batch-8:        score {} in {:.2?}",
-            batched.score, batched.elapsed
         );
     }
 

@@ -277,65 +277,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The playout-budget over-issue bound: tree-parallel at *any*
-    /// width, lock strategy, stats mode, and leaf-batch setting never
-    /// exceeds `max_playouts` by more than `threads` in-flight rollouts
-    /// — one per worker, the iteration each worker may already have
-    /// claimed when the cap trips. (Batched leaves count their playout
-    /// at claim time precisely so a slab cannot widen this bound to
-    /// `threads × batch`.)
+    /// width never exceeds `max_playouts` by more than `threads`
+    /// in-flight rollouts — one per worker, the iteration each worker
+    /// may already have claimed when the cap trips.
     #[test]
     fn tree_parallel_playout_overissue_is_bounded_by_threads(seed in 0u64..1000) {
-        use pnmcs::search::{LockStrategy, StatsMode};
         let game = SameGame::random(6, 6, 3, seed);
         let cap = 40u64;
-        for (threads, leaf_batch) in [(1usize, 0usize), (2, 0), (4, 0), (8, 0), (2, 4), (4, 4)] {
-            for (lock, stats) in [
-                (LockStrategy::Sharded, StatsMode::WuUct),
-                (LockStrategy::Global, StatsMode::VirtualLoss),
-            ] {
-                let spec = SearchSpec::tree_parallel(threads)
-                    .lock_strategy(lock)
-                    .stats_mode(stats)
-                    .leaf_batch(leaf_batch)
-                    .seed(seed)
-                    .max_playouts(cap)
-                    .build();
-                let report = spec.run(&game);
-                let label = format!(
-                    "tree-parallel t{threads} b{leaf_batch} {lock:?}/{stats:?} seed {seed}"
-                );
-                assert!(
-                    report.stats.playouts <= cap + threads as u64,
-                    "{label}: {} playouts overshot the {cap} cap by more than {threads} in-flight rollouts",
-                    report.stats.playouts
-                );
-                assert_replays(&game, &report, &label);
-            }
-        }
-    }
-
-    /// The shared iteration counter never double-counts a batched leaf:
-    /// an unbudgeted batched run executes exactly `iterations` playouts
-    /// (each claimed descent is counted once, its slab rollout never
-    /// again), at every width.
-    #[test]
-    fn batched_leaves_are_never_double_counted(seed in 0u64..1000) {
-        let game = SameGame::random(6, 6, 3, seed);
-        let iterations = 200usize;
-        let config = pnmcs::search::UctConfig {
-            iterations,
-            ..Default::default()
-        };
-        for (threads, leaf_batch) in [(1usize, 4usize), (2, 4), (4, 8)] {
-            let report = SearchSpec::tree_parallel_with(config.clone(), threads)
-                .leaf_batch(leaf_batch)
+        for threads in [1usize, 2, 4, 8] {
+            let spec = SearchSpec::tree_parallel(threads)
                 .seed(seed)
-                .run(&game);
-            assert_eq!(
-                report.stats.playouts, iterations as u64,
-                "t{threads} b{leaf_batch} seed {seed}: batched playout total must equal the iteration budget exactly"
+                .max_playouts(cap)
+                .build();
+            let report = spec.run(&game);
+            let label = format!("tree-parallel t{threads} seed {seed}");
+            assert!(
+                report.stats.playouts <= cap + threads as u64,
+                "{label}: {} playouts overshot the {cap} cap by more than {threads} in-flight rollouts",
+                report.stats.playouts
             );
-            assert_replays(&game, &report, "tree-parallel/batched-exact");
+            assert_replays(&game, &report, &label);
         }
     }
 }

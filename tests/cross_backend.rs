@@ -213,132 +213,67 @@ fn leaf_results_are_bit_identical_across_1_2_4_workers() {
 
 #[test]
 fn single_worker_tree_parallel_equals_sequential_uct_on_real_domains() {
-    // The acceptance contract of the sharded/WU-UCT rework: whatever
-    // the lock strategy and stats mode, one unbatched worker draws the
-    // exact RNG stream of sequential `uct` — both selection formulas
-    // reduce to the sequential one when nothing is in flight.
-    use pnmcs::search::{LockStrategy, StatsMode};
+    // The acceptance contract of the shared tree: one worker draws the
+    // exact RNG stream of sequential `uct` — WU-UCT's selection formula
+    // reduces to the sequential one when nothing is in flight.
     let cfg = UctConfig {
         iterations: 400,
         ..UctConfig::default()
     };
     let sg = SameGame::random(6, 6, 3, 9);
     let tsp = TspGame::new(TspInstance::random(9, 3), None);
-    let modes = [
-        (LockStrategy::Global, StatsMode::VirtualLoss),
-        (LockStrategy::Global, StatsMode::WuUct),
-        (LockStrategy::Sharded, StatsMode::VirtualLoss),
-        (LockStrategy::Sharded, StatsMode::WuUct),
-    ];
     for seed in [1u64, 2009] {
         let uct_sg = SearchSpec::uct_with(cfg.clone()).seed(seed).run(&sg);
-        let uct_tsp = SearchSpec::uct_with(cfg.clone()).seed(seed).run(&tsp);
-        for (lock, stats) in modes {
-            let tree_sg = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-                .lock_strategy(lock)
-                .stats_mode(stats)
-                .seed(seed)
-                .run(&sg);
-            let label = format!("samegame seed {seed} {lock:?}/{stats:?}");
-            assert_eq!(tree_sg.score, uct_sg.score, "{label}");
-            assert_eq!(tree_sg.sequence, uct_sg.sequence, "{label}");
-            assert_eq!(tree_sg.stats, uct_sg.stats, "{label}");
-
-            let tree_tsp = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-                .lock_strategy(lock)
-                .stats_mode(stats)
-                .seed(seed)
-                .run(&tsp);
-            let label = format!("tsp seed {seed} {lock:?}/{stats:?}");
-            assert_eq!(tree_tsp.score, uct_tsp.score, "{label}");
-            assert_eq!(tree_tsp.sequence, uct_tsp.sequence, "{label}");
-            assert_eq!(tree_tsp.stats, uct_tsp.stats, "{label}");
-        }
-    }
-}
-
-#[test]
-fn batched_single_worker_tree_parallel_is_run_to_run_deterministic() {
-    // Batched leaves at one worker promise schedule independence (slab
-    // rollouts are iteration-seeded, backed up in slot order): two runs
-    // of the same spec are bit-identical no matter how the pool places
-    // the slab slots — on an undo-path domain and a clone-path one.
-    let cfg = UctConfig {
-        iterations: 300,
-        ..UctConfig::default()
-    };
-    let sg = SameGame::random(6, 6, 3, 2);
-    let tsp = TspGame::new(TspInstance::random(8, 4), None);
-    for seed in [3u64, 11] {
-        let spec = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-            .leaf_batch(4)
+        let tree_sg = SearchSpec::tree_parallel_with(cfg.clone(), 1)
             .seed(seed)
-            .build();
-        assert!(spec.algorithm.worker_count_deterministic());
-        let a = spec.run(&sg);
-        let b = spec.run(&sg);
-        assert_eq!(
-            (a.score, &a.sequence, &a.stats),
-            (b.score, &b.sequence, &b.stats),
-            "samegame seed {seed}"
-        );
-        let a = spec.run(&tsp);
-        let b = spec.run(&tsp);
-        assert_eq!(
-            (a.score, &a.sequence, &a.stats),
-            (b.score, &b.sequence, &b.stats),
-            "tsp seed {seed}"
-        );
+            .run(&sg);
+        let label = format!("samegame seed {seed}");
+        assert_eq!(tree_sg.score, uct_sg.score, "{label}");
+        assert_eq!(tree_sg.sequence, uct_sg.sequence, "{label}");
+        assert_eq!(tree_sg.stats, uct_sg.stats, "{label}");
+
+        let uct_tsp = SearchSpec::uct_with(cfg.clone()).seed(seed).run(&tsp);
+        let tree_tsp = SearchSpec::tree_parallel_with(cfg.clone(), 1)
+            .seed(seed)
+            .run(&tsp);
+        let label = format!("tsp seed {seed}");
+        assert_eq!(tree_tsp.score, uct_tsp.score, "{label}");
+        assert_eq!(tree_tsp.sequence, uct_tsp.sequence, "{label}");
+        assert_eq!(tree_tsp.stats, uct_tsp.stats, "{label}");
     }
 }
 
 /// Runs tree-parallel on `game` at the CI worker count through the
 /// typed path and the erased path, asserting the replay invariant (the
-/// one promise multi-worker tree-parallel makes) on both — for the
-/// default sharded/WU-UCT configuration, the global-mutex baseline,
-/// and the batched-leaf mode.
+/// one promise multi-worker tree-parallel makes) on both, and the
+/// shared counter's exact iteration total.
 fn tree_parallel_runs_on<G>(game: &G, label: &str)
 where
     G: CodedGame + Send + Sync + 'static,
     G::Move: Send + Sync + std::fmt::Debug + PartialEq,
 {
-    use pnmcs::search::{LockStrategy, StatsMode};
-    let workers = test_workers();
     let cfg = UctConfig {
         iterations: 300,
         ..UctConfig::default()
     };
-    let specs = [
-        SearchSpec::tree_parallel_with(cfg.clone(), workers)
-            .seed(5)
-            .build(),
-        SearchSpec::tree_parallel_with(cfg.clone(), workers)
-            .lock_strategy(LockStrategy::Global)
-            .stats_mode(StatsMode::VirtualLoss)
-            .seed(5)
-            .build(),
-        SearchSpec::tree_parallel_with(cfg, workers)
-            .leaf_batch(4)
-            .seed(5)
-            .build(),
-    ];
-    for spec in specs {
-        let typed = spec.run(game);
-        let mut replay = game.clone();
-        for mv in &typed.sequence {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), typed.score, "{label}: typed replay");
-        assert_eq!(typed.stats.playouts, 300, "{label}: shared iteration total");
-
-        let erased = spec.search(&DynGame::new(game.clone()), None);
-        let decoded = decode_sequence(game, &erased.sequence);
-        let mut replay = game.clone();
-        for mv in &decoded {
-            replay.play(mv);
-        }
-        assert_eq!(replay.score(), erased.score, "{label}: erased replay");
+    let spec = SearchSpec::tree_parallel_with(cfg, test_workers())
+        .seed(5)
+        .build();
+    let typed = spec.run(game);
+    let mut replay = game.clone();
+    for mv in &typed.sequence {
+        replay.play(mv);
     }
+    assert_eq!(replay.score(), typed.score, "{label}: typed replay");
+    assert_eq!(typed.stats.playouts, 300, "{label}: shared iteration total");
+
+    let erased = spec.search(&DynGame::new(game.clone()), None);
+    let decoded = decode_sequence(game, &erased.sequence);
+    let mut replay = game.clone();
+    for mv in &decoded {
+        replay.play(mv);
+    }
+    assert_eq!(replay.score(), erased.score, "{label}: erased replay");
 }
 
 #[test]

@@ -267,27 +267,24 @@ fn wakeup_generation_makes_the_park_timeout_net_redundant() {
     });
 }
 
-/// Tree-parallel batched-leaf slabs are nested `run_batch` calls from
-/// inside an outer batch's workers; the pool must drain them without
-/// deadlock even when every background worker is occupied by the outer
-/// batch (the submitter helps drain its own slab), at the CI worker
-/// count.
+/// A batch whose slots each submit a batch of their own to the same
+/// pool must drain without deadlock even when every background worker
+/// is occupied by the outer batch (each inner submitter helps drain its
+/// own slots), at the CI worker count — on a pool sized to the outer
+/// batch and on the process-wide shared pool.
 #[test]
 fn nested_batches_from_busy_workers_cannot_deadlock() {
-    with_watchdog("nested batched-leaf run", Duration::from_secs(120), || {
+    with_watchdog("nested run_batch", Duration::from_secs(120), || {
         let workers = test_workers();
-        let game = SameGame::random(6, 6, 3, 17);
-        let report = SearchSpec::tree_parallel(workers)
-            .leaf_batch(4)
-            .seed(3)
-            .max_playouts(400)
-            .build()
-            .run(&game);
-        assert!(report.stats.playouts > 0);
-        let mut replay = game;
-        for mv in &report.sequence {
-            replay.play(mv);
+        let sized = ExecutorPool::new(workers - 1);
+        for pool in [&sized, ExecutorPool::shared()] {
+            let inner_slots = AtomicUsize::new(0);
+            pool.run_batch(workers, &|_| {
+                pool.run_batch(4, &|_| {
+                    inner_slots.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            assert_eq!(inner_slots.load(Ordering::Relaxed), workers * 4);
         }
-        assert_eq!(replay.score(), report.score);
     });
 }

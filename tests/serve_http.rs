@@ -15,7 +15,9 @@
 //! * `GET /metrics` parses as Prometheus text and the JSON form
 //!   round-trips byte-identically through the snapshot types;
 //! * `?stream=1` streams parseable NDJSON progress until terminal;
-//! * the error paths answer 400/404/405 as documented.
+//! * the error paths answer 400/404/405 as documented, including a
+//!   removed tree-parallel knob and a deeply nested body;
+//! * a client trickling a request is cut off at the request deadline.
 
 use pnmcs::engine::EngineConfig;
 use pnmcs::games::SumGame;
@@ -204,9 +206,9 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Value {
     json(&out)
 }
 
-/// The 11 deterministic strategy shapes of the unified API (the
-/// `tests/metrics_props.rs` list): every `AlgorithmSpec` variant, with
-/// tree-parallel at one worker — its deterministic form.
+/// The 10 deterministic strategy shapes of the unified API (the
+/// `tests/metrics_props.rs` list), with tree-parallel at one worker —
+/// its deterministic form.
 fn all_specs(seed: u64) -> Vec<SearchSpec> {
     vec![
         SearchSpec::nested(1).seed(seed).build(),
@@ -219,11 +221,6 @@ fn all_specs(seed: u64) -> Vec<SearchSpec> {
         SearchSpec::leaf(1, 4, 2).seed(seed).build(),
         SearchSpec::root_parallel(2, 2).seed(seed).build(),
         SearchSpec::tree_parallel(1).seed(seed).build(),
-        SearchSpec::tree_parallel(1)
-            .leaf_batch(4)
-            .leaf_batch_dynamic(true)
-            .seed(seed)
-            .build(),
     ]
 }
 
@@ -597,6 +594,81 @@ fn a_deeply_nested_body_is_a_400_not_a_crash() {
         (status, body.as_str()),
         (200, "ok\n"),
         "the server is still up"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_removed_tree_parallel_knob_is_a_400_naming_it() {
+    // The lock strategy `Global` is gone; a row asking for it must be
+    // refused, never silently run on the one remaining search.
+    let server = server(8, 1, 8);
+    let addr = server.addr();
+    let body = submit_body(
+        "knobs",
+        "samegame-small",
+        &SearchSpec::tree_parallel(1).seed(3).build(),
+        "",
+    )
+    .replace(r#""threads":1"#, r#""threads":1,"lock":"Global""#);
+    assert!(body.contains(r#""lock":"Global""#), "{body}");
+    let (status, _, resp) = post(addr, "/jobs", &body);
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("lock"), "the 400 names the field: {resp}");
+    server.shutdown();
+}
+
+#[test]
+fn a_trickling_client_is_cut_off_at_the_request_deadline() {
+    // One byte per 100 ms never lets a 500 ms *per-read* timeout fire;
+    // the deadline covers the whole request instead.
+    let timeout = Duration::from_millis(500);
+    let server = Server::start(ServeConfig {
+        engine: EngineConfig {
+            workers: 1,
+            queue_capacity: 8,
+        },
+        read_timeout: timeout,
+        ..ServeConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect to server");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("set timeout");
+    let started = std::time::Instant::now();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nX-Pad: ")
+        .expect("write the head's start");
+    let closed_after = loop {
+        let elapsed = started.elapsed();
+        if elapsed > 10 * timeout {
+            panic!("the server still held the connection after {elapsed:?}");
+        }
+        if stream.write_all(b"a").is_err() {
+            break started.elapsed();
+        }
+        let mut byte = [0u8; 1];
+        match stream.read(&mut byte) {
+            Ok(_) => break started.elapsed(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break started.elapsed(),
+        }
+    };
+    assert!(
+        closed_after <= 2 * timeout,
+        "closed after {closed_after:?}, past twice the {timeout:?} deadline"
+    );
+    let (status, _, body) = get(addr, "/healthz");
+    assert_eq!(
+        (status, body.as_str()),
+        (200, "ok\n"),
+        "the server still answers"
     );
     server.shutdown();
 }

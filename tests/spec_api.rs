@@ -203,36 +203,34 @@ fn reports_subsume_the_legacy_result_shapes() {
 
 #[test]
 fn tree_parallel_knobs_round_trip_and_rerun_identically() {
-    use pnmcs::search::{AlgorithmSpec, LockStrategy, StatsMode};
+    use pnmcs::search::AlgorithmSpec;
     let sg = SameGame::random(6, 6, 3, 4);
     let cfg = UctConfig {
         iterations: 150,
         ..UctConfig::default()
     };
-    // Every knob combination serde-round-trips; the deterministic ones
-    // (one worker) also rerun identically from the parsed spec.
-    for lock in [LockStrategy::Global, LockStrategy::Sharded] {
-        for stats in [StatsMode::VirtualLoss, StatsMode::WuUct] {
-            for leaf_batch in [0usize, 4] {
-                let spec = SearchSpec::tree_parallel_with(cfg.clone(), 1)
-                    .lock_strategy(lock)
-                    .stats_mode(stats)
-                    .leaf_batch(leaf_batch)
-                    .seed(9)
-                    .build();
-                let json = serde_json::to_string(&spec).unwrap();
-                let back: SearchSpec = serde_json::from_str(&json).unwrap();
-                assert_eq!(spec, back, "round-trip of {json}");
-                let AlgorithmSpec::TreeParallel {
-                    lock: l,
-                    stats: s,
-                    leaf_batch: b,
-                    ..
-                } = &back.algorithm
-                else {
-                    panic!("wrong variant from {json}");
-                };
-                assert_eq!((*l, *s, *b), (lock, stats, leaf_batch));
+    // Both remaining knobs (width and warm-tree reuse) serde-round-trip;
+    // the deterministic specs (one worker) also rerun identically from
+    // the parsed spec.
+    for threads in [1usize, 2] {
+        for reuse in [false, true] {
+            let spec = SearchSpec::tree_parallel_with(cfg.clone(), threads)
+                .tree_reuse(reuse)
+                .seed(9)
+                .build();
+            let json = serde_json::to_string(&spec).unwrap();
+            let back: SearchSpec = serde_json::from_str(&json).unwrap();
+            assert_eq!(spec, back, "round-trip of {json}");
+            let AlgorithmSpec::TreeParallel {
+                threads: t,
+                tree_reuse: r,
+                ..
+            } = &back.algorithm
+            else {
+                panic!("wrong variant from {json}");
+            };
+            assert_eq!((*t, *r), (threads, reuse));
+            if threads == 1 {
                 let first = spec.run(&sg);
                 let again = back.run(&sg);
                 assert_eq!(first.score, again.score, "{json}");
@@ -245,63 +243,97 @@ fn tree_parallel_knobs_round_trip_and_rerun_identically() {
 
 #[test]
 fn pre_knob_tree_parallel_json_parses_to_the_defaults() {
-    use pnmcs::search::{AlgorithmSpec, LockStrategy, StatsMode};
-    // A PR-4 row knows nothing of lock/stats/leaf_batch; it must still
-    // parse, landing on the current defaults.
+    // A PR-4 row carries only the kind and the width; it must still
+    // parse, landing on the one tree-parallel search.
     let json = r#"{"algorithm":{"kind":"tree_parallel","threads":4},"seed":7}"#;
     let spec: SearchSpec = serde_json::from_str(json).unwrap();
-    let AlgorithmSpec::TreeParallel {
-        threads,
-        lock,
-        stats,
-        leaf_batch,
-        ..
-    } = &spec.algorithm
-    else {
-        panic!("wrong variant");
+    assert_eq!(spec, SearchSpec::tree_parallel(4).seed(7).build());
+}
+
+/// A tree-parallel row exactly as the serialiser wrote it before the
+/// search had one configuration: the four removed knobs at the values
+/// that named the surviving search.
+const LEGACY_DEFAULT_ROW: &str = concat!(
+    r#"{"algorithm":{"kind":"tree_parallel","#,
+    r#""config":{"iterations":200,"exploration":0.4,"max_bias":0.5},"threads":1,"#,
+    r#""lock":"Sharded","stats":"WuUct","leaf_batch":0,"leaf_batch_dynamic":false,"#,
+    r#""tree_reuse":false},"#,
+    r#""budget":{"deadline_ms":null,"max_playouts":null,"max_nodes":null},"seed":9}"#
+);
+
+#[test]
+fn legacy_rows_with_the_default_knobs_replay_bit_identically() {
+    let cfg = UctConfig {
+        iterations: 200,
+        ..UctConfig::default()
     };
-    assert_eq!(*threads, 4);
-    assert_eq!(*lock, LockStrategy::Sharded);
-    assert_eq!(*stats, StatsMode::WuUct);
-    assert_eq!(*leaf_batch, 0);
+    let legacy: SearchSpec = serde_json::from_str(LEGACY_DEFAULT_ROW).unwrap();
+    let current = SearchSpec::tree_parallel_with(cfg.clone(), 1)
+        .seed(9)
+        .build();
+    assert_eq!(legacy, current);
+    assert_eq!(legacy.algorithm.tag(), current.algorithm.tag());
+    // `leaf_batch: 1` also named inline rollouts.
+    let one = LEGACY_DEFAULT_ROW.replace(r#""leaf_batch":0"#, r#""leaf_batch":1"#);
+    assert_eq!(serde_json::from_str::<SearchSpec>(&one).unwrap(), current);
+
+    let sg = SameGame::random(6, 6, 3, 9);
+    let tsp = TspGame::new(TspInstance::random(8, 4), None);
+    let replay = legacy.run(&sg);
+    let uct = SearchSpec::uct_with(cfg.clone()).seed(9).run(&sg);
+    assert_eq!(
+        (replay.score, &replay.sequence, &replay.stats),
+        (uct.score, &uct.sequence, &uct.stats),
+        "samegame: a width-1 legacy row is still sequential UCT"
+    );
+    let replay = legacy.run(&tsp);
+    let uct = SearchSpec::uct_with(cfg).seed(9).run(&tsp);
+    assert_eq!(
+        (replay.score, &replay.sequence, &replay.stats),
+        (uct.score, &uct.sequence, &uct.stats),
+        "tsp: a width-1 legacy row is still sequential UCT"
+    );
+}
+
+#[test]
+fn removed_tree_parallel_knobs_fail_to_parse_naming_the_field() {
+    for (field, from, to) in [
+        ("lock", r#""lock":"Sharded""#, r#""lock":"Global""#),
+        ("stats", r#""stats":"WuUct""#, r#""stats":"VirtualLoss""#),
+        ("leaf_batch", r#""leaf_batch":0"#, r#""leaf_batch":4"#),
+        (
+            "leaf_batch_dynamic",
+            r#""leaf_batch_dynamic":false"#,
+            r#""leaf_batch_dynamic":true"#,
+        ),
+    ] {
+        let json = LEGACY_DEFAULT_ROW.replace(from, to);
+        assert_ne!(json, LEGACY_DEFAULT_ROW, "{field}: the value was replaced");
+        let err = serde_json::from_str::<SearchSpec>(&json)
+            .expect_err("a removed knob must not parse")
+            .to_string();
+        assert!(
+            err.contains(&format!("removed tree-parallel knob `{field}:")),
+            "{field}: error must name the field, got {err:?}"
+        );
+    }
 }
 
 #[test]
 fn tree_parallel_knobs_are_part_of_tag_identity() {
-    use pnmcs::search::{AlgorithmSpec, LockStrategy, StatsMode};
-    // The knobs change which search the racing workers perform, so two
-    // specs differing only in a knob must not look alike to the
-    // engine's duplicate detection.
+    use pnmcs::search::AlgorithmSpec;
+    // Width and warm-tree reuse change which search the racing workers
+    // perform, so two specs differing only in one must not look alike
+    // to the engine's duplicate detection.
     let base = AlgorithmSpec::tree_parallel(4);
-    let with = |lock, stats, leaf_batch| {
-        let mut a = AlgorithmSpec::tree_parallel(4);
-        if let AlgorithmSpec::TreeParallel {
-            lock: l,
-            stats: s,
-            leaf_batch: b,
-            ..
-        } = &mut a
-        {
-            *l = lock;
-            *s = stats;
-            *b = leaf_batch;
-        }
-        a
-    };
+    assert_eq!(base.tag(), AlgorithmSpec::tree_parallel(4).tag());
+    assert_ne!(base.tag(), AlgorithmSpec::tree_parallel(2).tag());
     assert_ne!(
         base.tag(),
-        with(LockStrategy::Global, StatsMode::WuUct, 0).tag()
-    );
-    assert_ne!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::VirtualLoss, 0).tag()
-    );
-    assert_ne!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::WuUct, 8).tag()
-    );
-    assert_eq!(
-        base.tag(),
-        with(LockStrategy::Sharded, StatsMode::WuUct, 0).tag()
+        SearchSpec::tree_parallel(4)
+            .tree_reuse(true)
+            .build()
+            .algorithm
+            .tag()
     );
 }
