@@ -2,8 +2,6 @@
 //! paper's table configurations, dispatcher state-machine costs, the
 //! threaded backend, and the shared-memory pool ablation (A3).
 
-// Benchmarks the legacy message-passing backend on purpose.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
 use des_sim::ClusterSpec;
 use morpion::{cross_board, Variant};

@@ -16,11 +16,12 @@
 use crate::calibrate::{calibrate, Calibration};
 use crate::paper;
 use crate::report::{fmt_speedup, persist, Table};
-use crate::searches::nested_once;
 use des_sim::{format_time, ClusterSpec, Time, SECOND};
 use morpion::{render_default, standard_5d, GameRecord};
 use nmcs_core::rng::derive_seed;
-use nmcs_core::{sample, Game, NestedConfig, Rng};
+use nmcs_core::{
+    nested_with, sample, Game, MemoryPolicy, NestedConfig, Rng, SearchCtx, SearchSpec,
+};
 use parallel_nmcs::trace::run_reference;
 use parallel_nmcs::{simulate_trace, DispatchPolicy, RunMode, SearchTrace, TraceModel};
 use serde::Serialize;
@@ -76,8 +77,9 @@ impl Experiments {
         let mut pos = board;
         for (depth, mv) in game.sequence.iter().enumerate() {
             if depth % step == 0 && depth + 2 < total {
-                let r = nested_once(&pos, client_level, &cfg, &mut rng);
-                out.push((depth as u64, r.stats.work_units.max(1)));
+                let mut ctx = SearchCtx::unbounded();
+                nested_with(&pos, client_level, &cfg, &mut rng, &mut ctx);
+                out.push((depth as u64, ctx.stats().work_units.max(1)));
             }
             pos.play(mv);
         }
@@ -156,12 +158,18 @@ impl Experiments {
             for mv in &moves {
                 let mut child = board.clone();
                 child.play(mv);
-                let _ = nested_once(&child, level - 1, &cfg, &mut rng);
+                nested_with(
+                    &child,
+                    level - 1,
+                    &cfg,
+                    &mut rng,
+                    &mut SearchCtx::unbounded(),
+                );
             }
             let first = t0.elapsed().as_secs_f64();
 
             let t1 = std::time::Instant::now();
-            let _ = nested_once(&board, level, &cfg, &mut rng);
+            nested_with(&board, level, &cfg, &mut rng, &mut SearchCtx::unbounded());
             let rollout = t1.elapsed().as_secs_f64();
 
             if let Some(prev) = prev_rollout {
@@ -437,10 +445,8 @@ impl Experiments {
     /// record JSON.
     pub fn figure1(&self) -> (String, usize) {
         let board = standard_5d();
-        let cfg = NestedConfig::paper();
-        let mut rng = Rng::seeded(self.seed);
-        let result = nested_once(&board, 2, &cfg, &mut rng);
-        let mut replay = board.clone();
+        let result = SearchSpec::nested(2).seed(self.seed).run(&board);
+        let mut replay = board;
         for mv in &result.sequence {
             replay.play(mv);
         }
@@ -527,18 +533,11 @@ impl Experiments {
             let mut mem_sum = 0.0;
             let mut greedy_sum = 0.0;
             for s in 0..runs {
-                let mem = nested_once(
-                    &board,
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(self.seed + s),
-                );
-                let gre = nested_once(
-                    &board,
-                    level,
-                    &NestedConfig::greedy(),
-                    &mut Rng::seeded(self.seed + s),
-                );
+                let mem = SearchSpec::nested(level).seed(self.seed + s).run(&board);
+                let gre = SearchSpec::nested(level)
+                    .memory(MemoryPolicy::Greedy)
+                    .seed(self.seed + s)
+                    .run(&board);
                 mem_sum += mem.score as f64;
                 greedy_sum += gre.score as f64;
             }
@@ -557,35 +556,31 @@ impl Experiments {
 
     /// Ablation A5 — NMCS vs the baselines at matched playout budgets.
     pub fn ablation_baselines(&self) -> Table {
-        use crate::searches::{annealing_once, flat_mc_once, iterated_sampling_once, uct_once};
         use nmcs_core::{AnnealingConfig, UctConfig};
         let board = standard_5d();
-        let mut rng = Rng::seeded(self.seed);
         // Budget: the playout count of one level-1 NMCS.
-        let l1 = nested_once(&board, 1, &NestedConfig::paper(), &mut rng);
+        let l1 = SearchSpec::nested(1).seed(self.seed).run(&board);
         let budget = l1.stats.playouts as usize;
         let mut t = Table::new(
             "Ablation A5 — NMCS vs baselines at matched playout budget (Morpion 5D)",
             &["algorithm", "score", "playouts"],
         );
-        let flat = flat_mc_once(&board, budget, &mut Rng::seeded(self.seed + 1));
-        let iter = iterated_sampling_once(&board, 1, &mut Rng::seeded(self.seed + 2));
-        let sa = annealing_once(
-            &board,
-            &AnnealingConfig {
-                iterations: budget,
-                ..Default::default()
-            },
-            &mut Rng::seeded(self.seed + 3),
-        );
-        let mcts = uct_once(
-            &board,
-            &UctConfig {
-                iterations: budget,
-                ..Default::default()
-            },
-            &mut Rng::seeded(self.seed + 4),
-        );
+        let flat = SearchSpec::flat_mc(budget).seed(self.seed + 1).run(&board);
+        let iter = SearchSpec::iterated_sampling(1)
+            .seed(self.seed + 2)
+            .run(&board);
+        let sa = SearchSpec::simulated_annealing_with(AnnealingConfig {
+            iterations: budget,
+            ..Default::default()
+        })
+        .seed(self.seed + 3)
+        .run(&board);
+        let mcts = SearchSpec::uct_with(UctConfig {
+            iterations: budget,
+            ..Default::default()
+        })
+        .seed(self.seed + 4)
+        .run(&board);
         t.row(&[
             "flat Monte-Carlo".into(),
             flat.score.to_string(),
@@ -621,31 +616,25 @@ impl Experiments {
     /// budgets on Morpion 5D: the successor algorithm the paper's record
     /// eventually lost to.
     pub fn ablation_nrpa(&self) -> Table {
-        use crate::searches::nrpa_once;
         use nmcs_core::NrpaConfig;
         let board = standard_5d();
         let mut t = Table::new(
             "Extension X1 — NRPA vs NMCS (Morpion 5D, matched playouts)",
             &["algorithm", "score", "playouts"],
         );
-        let l1 = nested_once(
-            &board,
-            1,
-            &NestedConfig::paper(),
-            &mut Rng::seeded(self.seed),
-        );
+        let l1 = SearchSpec::nested(1).seed(self.seed).run(&board);
         // NRPA(2) with iterations^2 ≈ l1 playout count.
         let iters = (l1.stats.playouts as f64).sqrt().ceil() as usize;
         let cfg = NrpaConfig {
             iterations: iters,
             alpha: 1.0,
         };
-        let r2 = nrpa_once(&board, 2, &cfg, &mut Rng::seeded(self.seed));
+        let r2 = SearchSpec::nrpa_with(2, cfg).seed(self.seed).run(&board);
         let cfg3 = NrpaConfig {
             iterations: 10,
             alpha: 1.0,
         };
-        let r3 = nrpa_once(&board, 3, &cfg3, &mut Rng::seeded(self.seed));
+        let r3 = SearchSpec::nrpa_with(3, cfg3).seed(self.seed).run(&board);
         t.row(&[
             "NMCS level 1".into(),
             l1.score.to_string(),

@@ -25,9 +25,8 @@
 //! Determinism contract: every evaluation's seed derives from its logical
 //! coordinates through [`crate::seeds`], so results are bit-identical
 //! across worker counts, bit-identical to the frozen spawn-per-step
-//! baselines, to `parallel_nmcs::leaf_nested` and to
-//! `parallel_nmcs::trace::run_reference` (and therefore to
-//! `run_threads`) for the same seed — the cross-crate agreement tests
+//! baselines and to `parallel_nmcs::trace::run_reference` (and therefore
+//! to `run_threads`) for the same seed — the cross-crate agreement tests
 //! assert all of these. Work accounting matches the historical backends:
 //! only evaluation work is counted, so `stats.work_units` equals the old
 //! `total_work` and each evaluation counts one `client_job`.

@@ -20,7 +20,6 @@
 use crate::ctx::SearchCtx;
 use crate::game::{Game, Score, Undo};
 use crate::rng::Rng;
-use crate::search::SearchResult;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -280,30 +279,15 @@ fn policy_playout_scratch<G: CodedGame>(
     (score, seq)
 }
 
-/// Nested Rollout Policy Adaptation at `level` from `game`.
-#[deprecated(note = "use SearchSpec::nrpa(level) — the unified search API")]
-pub fn nrpa<G: CodedGame>(
-    game: &G,
-    level: u32,
-    config: &NrpaConfig,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = nrpa_with(game, level, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
 /// Nested Rollout Policy Adaptation at `level` from `game`, accounting
 /// into (and honouring the budget/cancellation of) `ctx`.
 ///
-/// The engine room behind `SearchSpec::run` for the `Nrpa` strategy; the
-/// deprecated [`nrpa`] free function is a thin shim over it. On
-/// interruption the best sequence found so far is returned (still
-/// replayable to its score).
+/// Level 0 is one policy playout; level `k` makes `config.iterations`
+/// level `k - 1` calls, adapting a copy of the policy toward the best
+/// sequence after each. The engine room behind `SearchSpec::nrpa`; call
+/// it directly (with [`SearchCtx::unbounded`]) to thread one RNG through
+/// several searches. On interruption the best sequence found so far is
+/// returned (still replayable to its score).
 pub fn nrpa_with<G: CodedGame>(
     game: &G,
     level: u32,
@@ -392,13 +376,10 @@ fn nrpa_inner<G: CodedGame>(
     (best_score, best_seq)
 }
 
-// The unit tests keep exercising the deprecated free function: they are
-// the regression net for the shim (new-API coverage lives in `spec.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::sample;
+    use crate::search::{sample, SearchResult};
 
     /// Depth-`d` binary game scoring the base-2 reading of the path;
     /// optimal play is all-ones. Codes distinguish (depth, choice).
@@ -477,24 +458,30 @@ mod tests {
         };
         for seed in 0..10 {
             for level in 0..3 {
-                let slow = nrpa(
-                    &Binary {
-                        depth: 7,
-                        taken: vec![],
-                    },
-                    level,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                );
-                let fast = nrpa(
-                    &FastBinary(Binary {
-                        depth: 7,
-                        taken: vec![],
-                    }),
-                    level,
-                    &cfg,
-                    &mut Rng::seeded(seed),
-                );
+                let slow = SearchResult::unbounded(|ctx| {
+                    nrpa_with(
+                        &Binary {
+                            depth: 7,
+                            taken: vec![],
+                        },
+                        level,
+                        &cfg,
+                        &mut Rng::seeded(seed),
+                        ctx,
+                    )
+                });
+                let fast = SearchResult::unbounded(|ctx| {
+                    nrpa_with(
+                        &FastBinary(Binary {
+                            depth: 7,
+                            taken: vec![],
+                        }),
+                        level,
+                        &cfg,
+                        &mut Rng::seeded(seed),
+                        ctx,
+                    )
+                });
                 assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
                 assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
                 assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
@@ -512,7 +499,7 @@ mod tests {
             iterations: 30,
             alpha: 1.0,
         };
-        let r = nrpa(&g, 2, &cfg, &mut Rng::seeded(5));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(5), ctx));
         assert_eq!(r.score, 255, "NRPA should learn the all-ones line");
         assert_eq!(r.sequence, vec![1; 8]);
     }
@@ -527,7 +514,7 @@ mod tests {
             iterations: 10,
             alpha: 1.0,
         };
-        let r = nrpa(&g, 2, &cfg, &mut Rng::seeded(3));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(3), ctx));
         // 100 playouts of uniform sampling:
         let mut rng = Rng::seeded(3);
         let best_uniform = (0..100).map(|_| sample(&g, &mut rng).score).max().unwrap();
@@ -585,7 +572,7 @@ mod tests {
             taken: vec![],
         };
         let cfg = NrpaConfig::default();
-        let r = nrpa(&g, 0, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| nrpa_with(&g, 0, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.stats.playouts, 1);
         assert_eq!(r.sequence.len(), 5);
     }
@@ -600,8 +587,8 @@ mod tests {
             iterations: 8,
             alpha: 0.7,
         };
-        let a = nrpa(&g, 2, &cfg, &mut Rng::seeded(11));
-        let b = nrpa(&g, 2, &cfg, &mut Rng::seeded(11));
+        let a = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(11), ctx));
+        let b = SearchResult::unbounded(|ctx| nrpa_with(&g, 2, &cfg, &mut Rng::seeded(11), ctx));
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
     }
@@ -617,7 +604,8 @@ mod tests {
             alpha: 1.0,
         };
         for seed in 0..10 {
-            let r = nrpa(&g, 1, &cfg, &mut Rng::seeded(seed));
+            let r =
+                SearchResult::unbounded(|ctx| nrpa_with(&g, 1, &cfg, &mut Rng::seeded(seed), ctx));
             let mut replay = g.clone();
             for mv in &r.sequence {
                 replay.play(mv);

@@ -186,7 +186,22 @@ pub struct SearchResult<M> {
     pub stats: SearchStats,
 }
 
-/// How `nested` advances its game between steps.
+#[cfg(test)]
+impl<M> SearchResult<M> {
+    /// Test shorthand: runs one engine room on a fresh unbounded context
+    /// and packs its counters with the result.
+    pub(crate) fn unbounded(run: impl FnOnce(&mut SearchCtx) -> (Score, Vec<M>)) -> Self {
+        let mut ctx = SearchCtx::unbounded();
+        let (score, sequence) = run(&mut ctx);
+        SearchResult {
+            score,
+            sequence,
+            stats: ctx.into_stats(),
+        }
+    }
+}
+
+/// How `nested_with` advances its game between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MemoryPolicy {
     /// Follow the globally best sequence found so far in this call
@@ -302,43 +317,24 @@ pub fn sample<G: Game>(game: &G, rng: &mut Rng) -> SearchResult<G::Move> {
     }
 }
 
-/// Nested Monte-Carlo Search at `level` from `game`.
+/// Nested Monte-Carlo Search at `level` from `game`, accounting into (and
+/// honouring the budget/cancellation of) `ctx`.
 ///
 /// * `level == 0` degenerates to a single random playout (useful as a
 ///   baseline; the paper starts at level 1).
 /// * `level == 1` evaluates each candidate move with one random playout.
 /// * `level >= 2` evaluates each candidate move with a `level - 1` search.
 ///
-/// Returns the best score found, the full move sequence realising it, and
-/// the accumulated statistics. With [`MemoryPolicy::Memorise`] the returned
-/// score equals the score of the position reached by replaying the returned
-/// sequence.
-#[deprecated(note = "use SearchSpec::nested(level) — the unified search API")]
-pub fn nested<G: Game>(
-    game: &G,
-    level: u32,
-    config: &NestedConfig,
-    rng: &mut Rng,
-) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = nested_with(game, level, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Nested Monte-Carlo Search at `level` from `game`, accounting into (and
-/// honouring the budget/cancellation of) `ctx`.
+/// Returns the best score found and the full move sequence realising it;
+/// the counters accumulate in `ctx`. With [`MemoryPolicy::Memorise`] the
+/// returned score equals the score of the position reached by replaying
+/// the returned sequence — also when the context interrupts the search
+/// (the memorising policy fast-forwards its memorised continuation
+/// without further evaluations before returning).
 ///
-/// This is the engine room behind `SearchSpec::run` for the `Nested`
-/// strategy and behind the parallel backends' client evaluations; the
-/// deprecated [`nested`] free function is a thin shim over it with an
-/// unbounded context. If the context interrupts the search, the returned
-/// pair is still consistent: the score is realised by replaying the
-/// returned sequence (the memorising policy fast-forwards its memorised
-/// continuation without further evaluations before returning).
+/// This is the engine room behind `SearchSpec::nested` and behind the
+/// parallel backends' client evaluations; call it directly (with
+/// [`SearchCtx::unbounded`]) to thread one RNG through several searches.
 pub fn nested_with<G: Game>(
     game: &G,
     level: u32,
@@ -691,11 +687,6 @@ pub fn evaluate_moves<G: Game>(
         .collect()
 }
 
-// The unit tests intentionally keep exercising the deprecated free
-// functions: they are the regression net asserting the shims stay
-// bit-identical to the historical behaviour (new-API coverage lives in
-// `spec.rs` and `tests/budget_props.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,18 +798,24 @@ mod tests {
         for seed in 0..20 {
             for level in 1..=3 {
                 for config in [NestedConfig::paper(), NestedConfig::greedy()] {
-                    let slow = nested(
-                        &Trap { taken: vec![] },
-                        level,
-                        &config,
-                        &mut Rng::seeded(seed),
-                    );
-                    let fast = nested(
-                        &FastTrap(Trap { taken: vec![] }),
-                        level,
-                        &config,
-                        &mut Rng::seeded(seed),
-                    );
+                    let slow = SearchResult::unbounded(|ctx| {
+                        nested_with(
+                            &Trap { taken: vec![] },
+                            level,
+                            &config,
+                            &mut Rng::seeded(seed),
+                            ctx,
+                        )
+                    });
+                    let fast = SearchResult::unbounded(|ctx| {
+                        nested_with(
+                            &FastTrap(Trap { taken: vec![] }),
+                            level,
+                            &config,
+                            &mut Rng::seeded(seed),
+                            ctx,
+                        )
+                    });
                     assert_eq!(fast.score, slow.score, "seed {seed} level {level}");
                     assert_eq!(fast.sequence, slow.sequence, "seed {seed} level {level}");
                     assert_eq!(fast.stats, slow.stats, "seed {seed} level {level}");
@@ -834,13 +831,24 @@ mod tests {
                 memory: MemoryPolicy::Memorise,
                 playout_cap: Some(2),
             };
-            let slow = nested(&Trap { taken: vec![] }, 1, &cfg, &mut Rng::seeded(seed));
-            let fast = nested(
-                &FastTrap(Trap { taken: vec![] }),
-                1,
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
+            let slow = SearchResult::unbounded(|ctx| {
+                nested_with(
+                    &Trap { taken: vec![] },
+                    1,
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
+            let fast = SearchResult::unbounded(|ctx| {
+                nested_with(
+                    &FastTrap(Trap { taken: vec![] }),
+                    1,
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
         }
@@ -920,7 +928,9 @@ mod tests {
     fn nested_level1_solves_small_games() {
         let g = fresh(5);
         let mut rng = Rng::seeded(7);
-        let r = nested(&g, 1, &NestedConfig::paper(), &mut rng);
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 1, &NestedConfig::paper(), &mut rng, ctx)
+        });
         assert_eq!(r.score, 5, "level-1 NMCS should find the all-ones line");
         assert_eq!(r.sequence, vec![1, 1, 1, 1, 1]);
     }
@@ -929,7 +939,9 @@ mod tests {
     fn nested_level2_solves_trap_game() {
         let g = Trap { taken: vec![] };
         let mut rng = Rng::seeded(3);
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut rng);
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut rng, ctx)
+        });
         assert_eq!(r.score, 26, "optimum is [2,2,2] scoring 2*9+2*3+2");
         assert_eq!(r.sequence, vec![2, 2, 2]);
     }
@@ -939,7 +951,9 @@ mod tests {
         for seed in 0..50 {
             let g = Trap { taken: vec![] };
             let mut rng = Rng::seeded(seed);
-            let r = nested(&g, 1, &NestedConfig::paper(), &mut rng);
+            let r = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 1, &NestedConfig::paper(), &mut rng, ctx)
+            });
             let mut replay = Trap { taken: vec![] };
             for mv in &r.sequence {
                 replay.play(mv);
@@ -953,7 +967,9 @@ mod tests {
         for seed in 0..20 {
             let g = Trap { taken: vec![] };
             let mut rng = Rng::seeded(seed);
-            let r = nested(&g, 1, &NestedConfig::greedy(), &mut rng);
+            let r = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 1, &NestedConfig::greedy(), &mut rng, ctx)
+            });
             let mut replay = Trap { taken: vec![] };
             for mv in &r.sequence {
                 replay.play(mv);
@@ -966,44 +982,23 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = Trap { taken: vec![] };
-        let a = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11));
-        let b = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11));
+        let a = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11), ctx)
+        });
+        let b = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(11), ctx)
+        });
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
         assert_eq!(a.stats, b.stats);
     }
 
     #[test]
-    fn shim_equals_ctx_entry_point_seed_for_seed() {
-        // The deprecated shim and the ctx-threaded engine room must stay
-        // bit-identical (this is the contract the shims advertise).
-        for seed in 0..10 {
-            for level in 0..3 {
-                let shim = nested(
-                    &Trap { taken: vec![] },
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(seed),
-                );
-                let mut ctx = SearchCtx::unbounded();
-                let (score, sequence) = nested_with(
-                    &Trap { taken: vec![] },
-                    level,
-                    &NestedConfig::paper(),
-                    &mut Rng::seeded(seed),
-                    &mut ctx,
-                );
-                assert_eq!(shim.score, score, "seed {seed} level {level}");
-                assert_eq!(shim.sequence, sequence, "seed {seed} level {level}");
-                assert_eq!(shim.stats, ctx.into_stats(), "seed {seed} level {level}");
-            }
-        }
-    }
-
-    #[test]
     fn level0_is_a_single_playout() {
         let g = fresh(4);
-        let r = nested(&g, 0, &NestedConfig::paper(), &mut Rng::seeded(5));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 0, &NestedConfig::paper(), &mut Rng::seeded(5), ctx)
+        });
         assert_eq!(r.stats.playouts, 1);
         assert_eq!(r.sequence.len(), 4);
     }
@@ -1011,7 +1006,9 @@ mod tests {
     #[test]
     fn nested_on_terminal_position_returns_empty_sequence() {
         let g = fresh(0);
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(1), ctx)
+        });
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
     }
@@ -1035,7 +1032,14 @@ mod tests {
             (0..40)
                 .map(|seed| {
                     let g = Trap { taken: vec![] };
-                    nested(&g, level, &NestedConfig::paper(), &mut Rng::seeded(seed)).score as f64
+                    nested_with(
+                        &g,
+                        level,
+                        &NestedConfig::paper(),
+                        &mut Rng::seeded(seed),
+                        &mut SearchCtx::unbounded(),
+                    )
+                    .0 as f64
                 })
                 .sum::<f64>()
                 / 40.0
@@ -1078,7 +1082,9 @@ mod tests {
     #[test]
     fn stats_accumulate_across_recursion() {
         let g = Trap { taken: vec![] };
-        let r = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(4));
+        let r = SearchResult::unbounded(|ctx| {
+            nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(4), ctx)
+        });
         // Level 2 over a 3-ary depth-3 game: 3 steps at top; each expansion
         // triggers a level-1 search. There must be strictly more playouts
         // than top-level expansions.

@@ -33,11 +33,13 @@
 //! ```
 //!
 //! Determinism contract: for any spec whose budget is never hit, the
-//! result is **bit-identical** to the historical direct call with the
-//! same seed (`nested`, `nrpa`, `uct`, the baselines, `leaf_nested`,
-//! `run_threads`/`run_reference`) — budget and cancellation polls never
-//! touch the RNG stream. `tests/budget_props.rs` and
-//! `tests/spec_api.rs` assert both halves of the contract.
+//! result is **bit-identical** to calling the strategy's engine room
+//! (`nested_with`, `nrpa_with`, `uct_with`, the baselines' `*_with`)
+//! with `Rng::seeded(seed)` and an unbounded [`SearchCtx`], and the
+//! parallel strategies to `run_threads`/`run_reference` for the same
+//! seed — budget and cancellation polls never touch the RNG stream.
+//! `tests/budget_props.rs` and `tests/spec_api.rs` assert both halves of
+//! the contract.
 
 use crate::baselines::{
     beam_search_with, flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with,
@@ -48,7 +50,7 @@ use crate::exec;
 use crate::game::Game;
 use crate::nrpa::{nrpa_with, CodedGame, NrpaConfig};
 use crate::report::SearchReport;
-use crate::rng::Rng;
+use crate::rng::{Fnv1a, Rng};
 use crate::search::{nested_with, MemoryPolicy, NestedConfig, PlayoutScratch};
 use crate::uct::{uct_tree_parallel_on, uct_with, TpTree, UctConfig, DEFAULT_TT_BYTES};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -181,8 +183,8 @@ impl Deserialize for Budget {
 // ---------------------------------------------------------------------
 
 /// Which search strategy to run, with its per-algorithm configuration.
-/// Every variant maps to exactly one historical entry point, so a spec
-/// run is reproducible as a direct library call with the same seed.
+/// Every variant maps to exactly one engine room, so a spec run is
+/// reproducible as a direct library call with the same seed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AlgorithmSpec {
     /// Nested Monte-Carlo Search at `level` ([`crate::search::nested_with`]).
@@ -214,8 +216,7 @@ pub enum AlgorithmSpec {
     /// A single random playout (the paper's `sample`).
     Sample,
     /// Leaf-parallel batched NMCS: each candidate move evaluated by a
-    /// batch of seeded `level − 1` evaluations on a worker pool
-    /// (the strategy of `parallel_nmcs::leaf_nested`).
+    /// batch of seeded `level − 1` evaluations on a worker pool.
     LeafParallel {
         level: u32,
         batch: usize,
@@ -324,99 +325,71 @@ impl AlgorithmSpec {
     }
 
     /// Stable digest of the variant *and* its configuration (used by the
-    /// engine's duplicate detection). Two algorithms with the same shape
-    /// but different tunables must not look alike.
+    /// engine's duplicate detection and per-algorithm histogram keys):
+    /// FNV-1a over the spec's own serialized value, so every field that
+    /// reaches the wire is part of the identity by construction. The
+    /// `threads` key is left out where
+    /// [`worker_count_deterministic`](Self::worker_count_deterministic)
+    /// holds, because there the worker count cannot change the result.
+    /// Tags are process-local: never persist one.
     pub fn tag(&self) -> u64 {
-        let words: [u64; 6] = match self {
-            AlgorithmSpec::Nested { level, config } => [
-                0x100 + *level as u64,
-                config.memory as u64,
-                config.playout_cap.map_or(u64::MAX, |c| c as u64),
-                0,
-                0,
-                0,
-            ],
-            AlgorithmSpec::Nrpa { level, config } => [
-                0x200 + *level as u64,
-                config.iterations as u64,
-                config.alpha.to_bits(),
-                0,
-                0,
-                0,
-            ],
-            AlgorithmSpec::Uct { config, tree_reuse } => [
-                0x300,
-                config.iterations as u64,
-                config.exploration.to_bits(),
-                config.max_bias.to_bits(),
-                // Reuse changes the search (table-backed tree), so it
-                // is identity; `false` keeps the pre-knob tag.
-                *tree_reuse as u64,
-                0,
-            ],
-            AlgorithmSpec::FlatMc { playouts } => [0x400, *playouts as u64, 0, 0, 0, 0],
-            AlgorithmSpec::Sample => [0x500, 0, 0, 0, 0, 0],
-            AlgorithmSpec::IteratedSampling { samples } => [0x600, *samples as u64, 0, 0, 0, 0],
-            AlgorithmSpec::Beam { width, samples } => {
-                [0x700, *width as u64, *samples as u64, 0, 0, 0]
+        let mut value = self.to_value();
+        if self.worker_count_deterministic() {
+            if let Value::Object(fields) = &mut value {
+                fields.retain(|(key, _)| key != "threads");
             }
-            AlgorithmSpec::LeafParallel {
-                level,
-                batch,
-                threads: _,
-                playout_cap,
-                first_move,
-            } => [
-                0x800 + *level as u64,
-                *batch as u64,
-                playout_cap.map_or(u64::MAX, |c| c as u64),
-                *first_move as u64,
-                0,
-                0,
-            ],
-            AlgorithmSpec::RootParallel {
-                level,
-                threads: _,
-                playout_cap,
-                first_move,
-            } => [
-                0x900 + *level as u64,
-                playout_cap.map_or(u64::MAX, |c| c as u64),
-                *first_move as u64,
-                0,
-                0,
-                0,
-            ],
-            // Unlike leaf/root, the thread count IS part of a
-            // tree-parallel identity: the workers race on one shared
-            // tree, so different counts genuinely produce different
-            // searches.
-            AlgorithmSpec::TreeParallel {
-                config,
-                threads,
-                tree_reuse,
-            } => [
-                0xA00,
-                config.iterations as u64,
-                config.exploration.to_bits(),
-                config.max_bias.to_bits(),
-                *threads as u64,
-                *tree_reuse as u64,
-            ],
-            AlgorithmSpec::SimulatedAnnealing { config } => [
-                0xB00,
-                config.iterations as u64,
-                config.t_initial.to_bits(),
-                config.t_final.to_bits(),
-                0,
-                0,
-            ],
-        };
-        let mut h = crate::rng::Fnv1a::new();
-        for w in words {
-            h.write_u64(w);
         }
+        let mut h = Fnv1a::new();
+        hash_value(&value, &mut h);
         h.finish()
+    }
+}
+
+/// Feeds a serde value into `h`: a discriminant byte, then the payload
+/// (floats by their bits; strings, arrays and objects length-prefixed,
+/// object keys in order).
+fn hash_value(v: &Value, h: &mut Fnv1a) {
+    let write_str = |h: &mut Fnv1a, s: &str| {
+        h.write_u64(s.len() as u64);
+        h.write_bytes(s.as_bytes());
+    };
+    match v {
+        Value::Null => h.write_u8(0),
+        Value::Bool(b) => {
+            h.write_u8(1);
+            h.write_u8(*b as u8);
+        }
+        Value::I64(n) => {
+            h.write_u8(2);
+            h.write_u64(*n as u64);
+        }
+        Value::U64(n) => {
+            h.write_u8(3);
+            h.write_u64(*n);
+        }
+        Value::F64(f) => {
+            h.write_u8(4);
+            h.write_u64(f.to_bits());
+        }
+        Value::Str(s) => {
+            h.write_u8(5);
+            write_str(h, s);
+        }
+        Value::Array(items) => {
+            h.write_u8(6);
+            h.write_u64(items.len() as u64);
+            for item in items {
+                hash_value(item, h);
+            }
+        }
+        Value::Object(fields) => {
+            h.write_u8(7);
+            h.write_u64(fields.len() as u64);
+            for (key, item) in fields {
+                write_str(h, key);
+                hash_value(item, h);
+            }
+        }
     }
 }
 
@@ -1190,18 +1163,18 @@ mod tests {
         ));
     }
 
-    #[allow(deprecated)]
+    /// The front door dispatches each serial strategy to its engine room
+    /// with `Rng::seeded(seed)`: same score, sequence and counters.
     #[test]
     fn every_serial_strategy_matches_its_legacy_entry_point() {
-        use crate::baselines::{beam_search, flat_monte_carlo, iterated_sampling};
-        use crate::nrpa::nrpa;
-        use crate::search::{nested, sample};
-        use crate::uct::uct;
+        use crate::search::{sample, SearchResult};
 
         let g = game();
         for seed in [1u64, 7, 42] {
             let r = SearchSpec::nested(2).seed(seed).run(&g);
-            let d = nested(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                nested_with(&g, 2, &NestedConfig::paper(), &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1209,7 +1182,8 @@ mod tests {
 
             let cfg = NrpaConfig::with_iterations(8);
             let r = SearchSpec::nrpa_with(1, cfg.clone()).seed(seed).run(&g);
-            let d = nrpa(&g, 1, &cfg, &mut Rng::seeded(seed));
+            let d =
+                SearchResult::unbounded(|ctx| nrpa_with(&g, 1, &cfg, &mut Rng::seeded(seed), ctx));
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1220,28 +1194,34 @@ mod tests {
                 ..UctConfig::default()
             };
             let r = SearchSpec::uct_with(ucfg.clone()).seed(seed).run(&g);
-            let d = uct(&g, &ucfg, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| uct_with(&g, &ucfg, &mut Rng::seeded(seed), ctx));
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::flat_mc(16).seed(seed).run(&g);
-            let d = flat_monte_carlo(&g, 16, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                flat_monte_carlo_with(&g, 16, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::iterated_sampling(2).seed(seed).run(&g);
-            let d = iterated_sampling(&g, 2, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                iterated_sampling_with(&g, 2, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
             );
 
             let r = SearchSpec::beam(2, 2).seed(seed).run(&g);
-            let d = beam_search(&g, 2, 2, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                beam_search_with(&g, 2, 2, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1261,7 +1241,9 @@ mod tests {
             let r = SearchSpec::simulated_annealing_with(acfg.clone())
                 .seed(seed)
                 .run(&g);
-            let d = crate::baselines::simulated_annealing(&g, &acfg, &mut Rng::seeded(seed));
+            let d = SearchResult::unbounded(|ctx| {
+                simulated_annealing_with(&g, &acfg, &mut Rng::seeded(seed), ctx)
+            });
             assert_eq!(
                 (r.score, &r.sequence, &r.stats),
                 (d.score, &d.sequence, &d.stats)
@@ -1505,7 +1487,7 @@ mod tests {
             AlgorithmSpec::nested(2).tag()
         );
         // Warm-tree reuse changes the search, so it is identity on both
-        // tree backends — and `false` keeps the pre-knob tag.
+        // tree backends.
         assert_ne!(
             SearchSpec::uct().tree_reuse(true).build().algorithm.tag(),
             SearchSpec::uct().build().algorithm.tag()

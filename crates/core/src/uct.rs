@@ -45,7 +45,7 @@ use crate::ctx::SearchCtx;
 use crate::exec::pool::ExecutorPool;
 use crate::game::{Game, Score, Undo};
 use crate::rng::Rng;
-use crate::search::{PlayoutScratch, SearchResult};
+use crate::search::PlayoutScratch;
 use crate::seeds::tree_worker_seed;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -86,25 +86,13 @@ struct Node<M> {
     expanded: bool,
 }
 
-/// Runs UCT from `game` and returns the best playout found.
-#[deprecated(note = "use SearchSpec::uct() — the unified search API")]
-pub fn uct<G: Game>(game: &G, config: &UctConfig, rng: &mut Rng) -> SearchResult<G::Move> {
-    let mut ctx = SearchCtx::unbounded();
-    let (score, sequence) = uct_with(game, config, rng, &mut ctx);
-    SearchResult {
-        score,
-        sequence,
-        stats: ctx.into_stats(),
-    }
-}
-
-/// Runs UCT from `game`, accounting into (and honouring the
-/// budget/cancellation of) `ctx`.
+/// Runs UCT from `game` and returns the best playout found, accounting
+/// into (and honouring the budget/cancellation of) `ctx`.
 ///
-/// The engine room behind `SearchSpec::uct()`; the deprecated [`uct`]
-/// free function is a thin shim over it. The node budget
-/// (`Budget::max_nodes`) counts tree expansions, so a budgeted UCT run
-/// is bounded in memory as well as time.
+/// The engine room behind `SearchSpec::uct()`; call it directly (with
+/// [`SearchCtx::unbounded`]) to thread one RNG through several searches.
+/// The node budget (`Budget::max_nodes`) counts tree expansions, so a
+/// budgeted UCT run is bounded in memory as well as time.
 pub fn uct_with<G: Game>(
     game: &G,
     config: &UctConfig,
@@ -964,13 +952,11 @@ where
     best
 }
 
-// The unit tests keep exercising the deprecated free functions: they are
-// the regression net for the shims (new-API coverage lives in `spec.rs`).
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::flat_monte_carlo;
+    use crate::baselines::flat_monte_carlo_with;
+    use crate::search::SearchResult;
 
     /// Depth-`d` ternary game, unique optimum all-2s.
     #[derive(Clone, Debug)]
@@ -1039,22 +1025,28 @@ mod tests {
             ..Default::default()
         };
         for seed in 0..10 {
-            let slow = uct(
-                &Ternary {
-                    depth: 5,
-                    taken: vec![],
-                },
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
-            let fast = uct(
-                &FastTernary(Ternary {
-                    depth: 5,
-                    taken: vec![],
-                }),
-                &cfg,
-                &mut Rng::seeded(seed),
-            );
+            let slow = SearchResult::unbounded(|ctx| {
+                uct_with(
+                    &Ternary {
+                        depth: 5,
+                        taken: vec![],
+                    },
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
+            let fast = SearchResult::unbounded(|ctx| {
+                uct_with(
+                    &FastTernary(Ternary {
+                        depth: 5,
+                        taken: vec![],
+                    }),
+                    &cfg,
+                    &mut Rng::seeded(seed),
+                    ctx,
+                )
+            });
             assert_eq!(fast.score, slow.score, "seed {seed}");
             assert_eq!(fast.sequence, slow.sequence, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");
@@ -1071,7 +1063,7 @@ mod tests {
             iterations: 2_000,
             ..Default::default()
         };
-        let r = uct(&g, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.score, optimum(4));
     }
 
@@ -1086,7 +1078,7 @@ mod tests {
                 iterations: 200,
                 ..Default::default()
             };
-            let r = uct(&g, &cfg, &mut Rng::seeded(seed));
+            let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(seed), ctx));
             let mut replay = g.clone();
             for mv in &r.sequence {
                 replay.play(mv);
@@ -1111,8 +1103,20 @@ mod tests {
                 iterations: budget,
                 ..Default::default()
             };
-            uct_total += uct(&g, &cfg, &mut Rng::seeded(seed)).score;
-            flat_total += flat_monte_carlo(&g, budget, &mut Rng::seeded(seed)).score;
+            uct_total += uct_with(
+                &g,
+                &cfg,
+                &mut Rng::seeded(seed),
+                &mut SearchCtx::unbounded(),
+            )
+            .0;
+            flat_total += flat_monte_carlo_with(
+                &g,
+                budget,
+                &mut Rng::seeded(seed),
+                &mut SearchCtx::unbounded(),
+            )
+            .0;
         }
         assert!(
             uct_total > flat_total,
@@ -1133,7 +1137,7 @@ mod tests {
                         iterations: iters,
                         ..Default::default()
                     };
-                    uct(&g, &cfg, &mut Rng::seeded(s)).score
+                    uct_with(&g, &cfg, &mut Rng::seeded(s), &mut SearchCtx::unbounded()).0
                 })
                 .sum::<Score>()
         };
@@ -1150,8 +1154,8 @@ mod tests {
             iterations: 100,
             ..Default::default()
         };
-        let a = uct(&g, &cfg, &mut Rng::seeded(9));
-        let b = uct(&g, &cfg, &mut Rng::seeded(9));
+        let a = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(9), ctx));
+        let b = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(9), ctx));
         assert_eq!(a.score, b.score);
         assert_eq!(a.sequence, b.sequence);
     }
@@ -1274,7 +1278,7 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        let r = uct(&g, &cfg, &mut Rng::seeded(1));
+        let r = SearchResult::unbounded(|ctx| uct_with(&g, &cfg, &mut Rng::seeded(1), ctx));
         assert_eq!(r.score, 0);
         assert!(r.sequence.is_empty());
     }

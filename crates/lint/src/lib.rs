@@ -2,7 +2,7 @@
 //!
 //! The determinism contracts this repo is built on (seeds from logical
 //! coordinates, budget polls never touching RNG, one sanctioned spawn
-//! site, `tag()` as the identity of a result) are easy to uphold in the
+//! site, one lock implementation) are easy to uphold in the
 //! module that defines them and easy to erode one call site at a time
 //! everywhere else. This crate freezes them as deny-by-default token
 //! rules — see [`rules::RULES`] for the catalog.

@@ -39,16 +39,6 @@ pub const RULES: &[RuleInfo] = &[
                   paths — a panic there takes a worker (or the pool) down",
     },
     RuleInfo {
-        id: "deprecated-shim",
-        summary: "internal code never calls the #[deprecated] PR-3 free functions — the \
-                  unified SearchSpec API is the only internal entry point",
-    },
-    RuleInfo {
-        id: "tag-identity",
-        summary: "every AlgorithmSpec variant field must be mentioned in tag() — \
-                  result-affecting knobs are identity bits",
-    },
-    RuleInfo {
         id: "hot-path",
         summary: "functions reachable from `nmcs-lint: hot-entry` roots (playout/rollout \
                   core) must not allocate, take locks, read clocks, or print — the \
@@ -141,8 +131,6 @@ pub(crate) fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     spawn_discipline(ctx, &mut out);
     seed_discipline(ctx, &mut out);
     panic_discipline(ctx, &mut out);
-    deprecated_shim(ctx, &mut out);
-    tag_identity(ctx, &mut out);
     socket_discipline(ctx, &mut out);
     lock_discipline(ctx, &mut out);
     out
@@ -353,209 +341,7 @@ fn panic_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R5: deprecated-shim purity
-// ---------------------------------------------------------------------
-
-/// The PR-3 `#[deprecated]` free functions (legacy pre-SearchSpec API).
-const DEPRECATED_FNS: &[&str] = &[
-    "nested",
-    "nrpa",
-    "uct",
-    "flat_monte_carlo",
-    "iterated_sampling",
-    "simulated_annealing",
-    "beam_search",
-    "run_threads",
-    "leaf_nested",
-];
-
-/// Qualifiers under which a call to one of those names is the deprecated
-/// free function (e.g. `nmcs_core::nested(...)`). `SearchSpec::nested`
-/// and `AlgorithmSpec::nested` are the *new* API constructors and share
-/// the name, so an unknown qualifier is presumed fine.
-const SHIM_QUALIFIERS: &[&str] = &[
-    "nmcs_core",
-    "core",
-    "crate",
-    "search",
-    "nrpa",
-    "uct",
-    "baselines",
-    "runner",
-    "leaf",
-    "parallel_nmcs",
-    "self",
-    "super",
-];
-
-fn deprecated_shim(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.is_test_path {
-        return;
-    }
-    for i in 0..ctx.toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let Some(id) = ctx.ident(i) else { continue };
-        if !DEPRECATED_FNS.contains(&id) || ctx.punct(i + 1) != Some('(') {
-            continue;
-        }
-        // Skip definitions (`fn nested(`) and method calls (`.uct(`).
-        if i >= 1 && (ctx.ident(i - 1) == Some("fn") || ctx.punct(i - 1) == Some('.')) {
-            continue;
-        }
-        // Qualified call: only the shim modules count.
-        if i >= 2 && ctx.path_sep(i - 2) {
-            let qualified_bad =
-                i >= 3 && matches!(ctx.ident(i - 3), Some(q) if SHIM_QUALIFIERS.contains(&q));
-            if !qualified_bad {
-                continue;
-            }
-        }
-        out.push(finding(
-            ctx,
-            "deprecated-shim",
-            i,
-            format!(
-                "call to deprecated shim `{id}(…)`: internal code goes through the \
-                 unified `SearchSpec` API (shims exist only for external compatibility)"
-            ),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------
-// R6: tag-identity consistency
-// ---------------------------------------------------------------------
-
-/// Returns the index range of the balanced `{ … }` group whose opening
-/// brace is the first `{` at or after `start`. Range excludes braces.
-fn brace_group(ctx: &FileCtx, start: usize) -> Option<(usize, usize)> {
-    let mut i = start;
-    while ctx.punct(i) != Some('{') {
-        if i >= ctx.toks.len() {
-            return None;
-        }
-        i += 1;
-    }
-    let open = i;
-    let mut depth = 0usize;
-    for j in open..ctx.toks.len() {
-        match ctx.punct(j) {
-            Some('{') => depth += 1,
-            Some('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open + 1, j));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn tag_identity(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.rel != "crates/core/src/spec.rs" {
-        return;
-    }
-    // Locate `enum AlgorithmSpec { … }`.
-    let enum_range = (0..ctx.toks.len()).find_map(|i| {
-        (ctx.ident(i) == Some("enum") && ctx.ident(i + 1) == Some("AlgorithmSpec"))
-            .then(|| brace_group(ctx, i + 2))
-            .flatten()
-    });
-    // Locate `fn tag … { … }`.
-    let tag_range = (0..ctx.toks.len()).find_map(|i| {
-        (ctx.ident(i) == Some("fn") && ctx.ident(i + 1) == Some("tag"))
-            .then(|| brace_group(ctx, i + 2))
-            .flatten()
-    });
-    let (Some((es, ee)), Some((ts, te))) = (enum_range, tag_range) else {
-        out.push(Finding {
-            rule: "tag-identity",
-            file: ctx.rel.to_string(),
-            line: 1,
-            message: "could not locate `enum AlgorithmSpec` and `fn tag` — the \
-                      tag-identity cross-reference cannot run; fix the rule or the code"
-                .to_string(),
-            waived: false,
-        });
-        return;
-    };
-    let tag_idents: std::collections::HashSet<&str> =
-        (ts..te).filter_map(|i| ctx.ident(i)).collect();
-
-    // (a) Every variant field ident must be mentioned in tag(). Fields
-    // are idents directly followed by `:` (not `::`) at depth 1 inside a
-    // variant's brace group (depth 1 relative to the enum body).
-    let mut depth = 0usize;
-    for i in es..ee {
-        match ctx.punct(i) {
-            Some('{') => depth += 1,
-            Some('}') => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        if depth != 1 {
-            continue;
-        }
-        let Some(field) = ctx.ident(i) else { continue };
-        if ctx.punct(i + 1) != Some(':') || ctx.punct(i + 2) == Some(':') {
-            continue;
-        }
-        if !tag_idents.contains(field) {
-            out.push(finding(
-                ctx,
-                "tag-identity",
-                i,
-                format!(
-                    "`AlgorithmSpec` field `{field}` is never mentioned in `tag()`: every \
-                     result-affecting knob must be an identity bit (bind it `_` with a \
-                     comment only if provably identity-free)"
-                ),
-            ));
-        }
-    }
-
-    // (b) Every serde field key in `impl Serialize for AlgorithmSpec`
-    // must be mentioned in tag() — catches a knob serialised for replay
-    // but forgotten in the identity digest.
-    let ser_range = (0..ctx.toks.len()).find_map(|i| {
-        (ctx.ident(i) == Some("impl")
-            && ctx.ident(i + 1) == Some("Serialize")
-            && ctx.ident(i + 2) == Some("for")
-            && ctx.ident(i + 3) == Some("AlgorithmSpec"))
-        .then(|| brace_group(ctx, i + 4))
-        .flatten()
-    });
-    if let Some((ss, se)) = ser_range {
-        for i in ss..se {
-            let TokKind::Str(key) = &ctx.toks[i].kind else {
-                continue;
-            };
-            if ctx.punct(i + 1) != Some('.') || ctx.ident(i + 2) != Some("to_string") {
-                continue;
-            }
-            if key == "kind" || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                continue;
-            }
-            if !tag_idents.contains(key.as_str()) {
-                out.push(finding(
-                    ctx,
-                    "tag-identity",
-                    i,
-                    format!(
-                        "serde field \"{key}\" of `AlgorithmSpec` is never mentioned in \
-                         `tag()`: a knob that round-trips for replay must be an identity bit"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// R7: socket discipline
+// R5: socket discipline
 // ---------------------------------------------------------------------
 
 /// Socket types whose mere mention (as `net::…`) marks network I/O. No
@@ -615,7 +401,7 @@ fn socket_discipline(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R8: lock discipline
+// R6: lock discipline
 // ---------------------------------------------------------------------
 
 /// Lock types that must come from vendored `parking_lot`, where the

@@ -1,9 +1,9 @@
 //! Quick calibration: playout and NMCS costs on the standard 5D cross.
-// Calibrates through the deprecated shims (zero-cost; comparable
-// with historical numbers).
-#![allow(deprecated)]
+//!
+//! One RNG runs through every measurement, so the searches call the
+//! `nested_with` engine room on an unbounded context.
 use morpion::standard_5d;
-use nmcs_core::{nested, sample, NestedConfig, Rng};
+use nmcs_core::{nested_with, sample, NestedConfig, Rng, SearchCtx};
 use std::time::Instant;
 
 fn main() {
@@ -29,11 +29,13 @@ fn main() {
 
     for level in 1..=2 {
         let t = Instant::now();
-        let r = nested(&board, level, &NestedConfig::paper(), &mut rng);
+        let mut ctx = SearchCtx::unbounded();
+        let (score, _) = nested_with(&board, level, &NestedConfig::paper(), &mut rng, &mut ctx);
         let dt = t.elapsed();
         println!(
-            "nested level {level}: score {} in {:?} ({} playouts, {} work units)",
-            r.score, dt, r.stats.playouts, r.stats.work_units
+            "nested level {level}: score {score} in {dt:?} ({} playouts, {} work units)",
+            ctx.stats().playouts,
+            ctx.stats().work_units
         );
     }
 }

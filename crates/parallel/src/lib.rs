@@ -19,12 +19,15 @@
 //!
 //! All three agree bit-for-bit on search decisions because every
 //! evaluation job's randomness derives from its logical coordinates
-//! ([`seeds`]). [`model::TraceModel`] generates synthetic paper-scale
-//! workloads for the level-4 tables, and [`shared::par_nested`] is the
-//! shared-memory worker-pool ablation.
+//! ([`seeds`]). The same holds for the in-core executors behind
+//! `nmcs_core::SearchSpec` (`SearchSpec::root_parallel`, and the
+//! leaf-parallel batching of `SearchSpec::leaf`), which run on the
+//! shared worker pool instead of message passing.
+//! [`model::TraceModel`] generates synthetic paper-scale workloads for
+//! the level-4 tables, and [`shared::par_nested`] is the shared-memory
+//! worker-pool ablation.
 
 pub mod dispatcher;
-pub mod leaf;
 pub mod model;
 pub mod protocol;
 pub mod runner;
@@ -34,16 +37,9 @@ pub mod sim;
 pub mod trace;
 
 pub use dispatcher::{DispatchPolicy, DispatcherCore};
-pub use leaf::LeafConfig;
 pub use model::TraceModel;
 pub use protocol::{Msg, DISPATCHER, ROOT};
-pub use runner::{run_threads_traced, ThreadConfig, ThreadReport};
-
-// Deprecated shims re-exported under their historical paths.
-#[allow(deprecated)]
-pub use leaf::leaf_nested;
-#[allow(deprecated)]
-pub use runner::run_threads;
+pub use runner::{run_threads, run_threads_traced, ThreadConfig, ThreadReport};
 pub use seeds::{client_seed, median_seed};
 pub use shared::{par_nested, PoolConfig};
 pub use sim::{

@@ -94,9 +94,6 @@ pub struct ThreadReport {
 /// strategy with identical results plus budget/cancellation support; use
 /// this function (or [`run_threads_traced`]) when the point is the
 /// communication structure itself.
-#[deprecated(
-    note = "use SearchSpec::root_parallel(level, threads) — the unified search API — unless you need the message-passing runtime itself"
-)]
 pub fn run_threads<G>(game: &G, config: &ThreadConfig) -> (ParallelOutcome<G::Move>, ThreadReport)
 where
     G: Game + Send + 'static,
@@ -450,9 +447,8 @@ where
     }
 }
 
-// The tests exercise the deprecated entry point on purpose: the shim
-// contract (run_threads ≡ reference ≡ SearchSpec) is regression surface.
-#[allow(deprecated)]
+// The tests pin run_threads ≡ reference ≡ SearchSpec: the message-passing
+// runtime and the in-core root-parallel executor must agree per seed.
 #[cfg(test)]
 mod tests {
     use super::*;

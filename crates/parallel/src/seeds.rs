@@ -26,4 +26,16 @@ mod tests {
             nmcs_core::seeds::slot_seed(1, 2, 3, 4)
         );
     }
+
+    #[test]
+    fn slot_seeds_are_pinned_and_distinct() {
+        // Part of the determinism contract: a change here invalidates
+        // recorded results.
+        let a = slot_seed(42, 0, 0, 0);
+        assert_eq!(a, slot_seed(42, 0, 0, 0));
+        assert_ne!(a, slot_seed(42, 0, 0, 1));
+        assert_ne!(a, slot_seed(42, 0, 1, 0));
+        assert_ne!(a, slot_seed(42, 1, 0, 0));
+        assert_ne!(a, slot_seed(43, 0, 0, 0));
+    }
 }

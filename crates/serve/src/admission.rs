@@ -126,7 +126,7 @@ pub fn decide(inputs: &AdmissionInputs) -> Decision {
     // check still applies after admission.
     let allowed_depth =
         (inputs.queue_capacity as f64 * inputs.priority.depth_allowance()).floor() as usize;
-    if inputs.queue_depth + inputs.replicas > allowed_depth {
+    if inputs.queue_depth.saturating_add(inputs.replicas) > allowed_depth {
         let wait = predicted_wait_ms(inputs.queue_depth, inputs.workers, inputs.queue_wait_p95_ns);
         return Decision::Reject {
             status: 429,
@@ -278,6 +278,15 @@ mod tests {
         rejected(decide(&i));
         i.replicas = 5;
         assert_eq!(decide(&i), Decision::Admit);
+    }
+
+    #[test]
+    fn a_huge_replica_count_is_a_lane_rejection_not_an_overflow() {
+        let mut i = base();
+        i.queue_depth = 3;
+        i.replicas = usize::MAX;
+        let (reason, _) = rejected(decide(&i));
+        assert!(reason.contains("lane full"), "{reason}");
     }
 
     #[test]

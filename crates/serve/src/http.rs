@@ -14,7 +14,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Upper bound on the request line + headers, bytes.
+/// Upper bound on the request head (request line, headers and the
+/// blank line that ends them), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Why a request could not be read.
@@ -107,6 +108,11 @@ pub fn read_request(
         }
         buf.extend_from_slice(&chunk[..n]);
     };
+    // The terminator can arrive in the read that crosses the cap; the cap
+    // holds for the head itself, however the bytes were split.
+    if head_end + 4 > MAX_HEAD_BYTES {
+        return Err(HttpError::Malformed("request head too large"));
+    }
 
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Malformed("request head is not UTF-8"))?;

@@ -364,6 +364,18 @@ fn submit(req: &Request, ctx: &ServerCtx) -> Response {
     // Admission: snapshot the gauges, decide, and only then touch the
     // engine. A rejected job is never enqueued.
     let stats = ctx.engine.stats();
+    // The engine never holds more than `queue_capacity` replicas, so a
+    // larger fan-out can never be admitted: a bad request, not a shed.
+    if job.replicas > stats.queue_capacity {
+        return json_error(
+            400,
+            &format!(
+                "replicas {} exceeds the engine's queue capacity {}",
+                job.replicas, stats.queue_capacity
+            ),
+            None,
+        );
+    }
     let deadline_ms = job
         .budget
         .deadline

@@ -10,11 +10,6 @@
 //! cargo run --release --example parallel_search [seed]
 //! ```
 
-// `run_threads` is deprecated in favour of `SearchSpec::root_parallel`;
-// this example demonstrates the message-passing runtime itself (and that
-// the unified spec agrees with it), so it calls the shim deliberately.
-#![allow(deprecated)]
-
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::parallel::{
     run_threads, simulate_trace, trace::run_reference, DispatchPolicy, RunMode, ThreadConfig,

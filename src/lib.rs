@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`search`] | `nmcs-core` | the `Game` trait, `sample`, `nested`, baselines, RNG |
+//! | [`search`] | `nmcs-core` | the `Game` trait, `sample`, `nested_with`, baselines, RNG |
 //! | [`morpion`] | `morpion` | Morpion Solitaire 5T/5D, records, rendering |
 //! | [`games`] | `nmcs-games` | SameGame, rollout-TSP, toy validation games |
 //! | [`parallel`] | `parallel-nmcs` | root/median/dispatcher/client roles, RR & LM dispatchers, backends |

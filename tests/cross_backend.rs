@@ -2,8 +2,8 @@
 //! runtime, the discrete-event simulator, and the unified `SearchSpec`
 //! executors must make identical search decisions for identical seeds —
 //! the determinism contract that makes the simulated cluster results
-//! transferable. (The deprecated `run_threads` shim is exercised on
-//! purpose: shim ≡ reference ≡ spec is exactly the contract under test.)
+//! transferable: `run_threads` ≡ reference ≡ spec is the contract under
+//! test.
 //!
 //! Since the executors moved onto the persistent pool, this suite also
 //! pins: pool-backed spec runs ≡ the frozen spawn-per-step baselines
@@ -12,7 +12,6 @@
 //! tree-parallel UCT contract — single-worker ≡ sequential `uct`,
 //! multi-worker always replayable, on all five domains through both the
 //! typed and erased (engine) paths.
-#![allow(deprecated)]
 
 use pnmcs::engine::{Engine, EngineConfig, JobSpec, JobState};
 use pnmcs::games::{SameGame, Sudoku, SumGame, TspGame, TspInstance};

@@ -11,14 +11,10 @@
 //! * the type-erased [`DynGame`] used by the engine preserves both
 //!   properties.
 
-// Exercises the deprecated free-function shims on purpose: clone-vs-
-// undo bit-identity must keep holding for the historical surface.
-#![allow(deprecated)]
 use pnmcs::games::{NeedleLadder, SameGame, Sudoku, SumGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
-use pnmcs::search::baselines::flat_monte_carlo;
-use pnmcs::search::{nested, uct, Game, NestedConfig, Rng, SnapshotOnly, UctConfig};
-use pnmcs::search::{nrpa, CodedGame, DynGame, NrpaConfig};
+use pnmcs::search::{CodedGame, DynGame, NrpaConfig, SearchSpec};
+use pnmcs::search::{Game, Rng, SnapshotOnly, UctConfig};
 use proptest::prelude::*;
 
 /// Observable surface of a position: score, move count, and the ordered
@@ -73,42 +69,38 @@ fn assert_round_trips<G: Game>(root: &G, seed: u64, chain: usize) {
 
 /// Asserts the undo path and the clone path agree bit-for-bit on every
 /// search algorithm for a pinned seed.
-fn assert_paths_agree<G: CodedGame>(game: &G, seed: u64) {
+fn assert_paths_agree<G>(game: &G, seed: u64)
+where
+    G: CodedGame + Send + Sync,
+    G::Move: Send + Sync,
+{
     let slow_game = SnapshotOnly(game.clone());
-
-    let fast = nested(game, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-    let slow = nested(
-        &slow_game,
-        1,
-        &NestedConfig::paper(),
-        &mut Rng::seeded(seed),
-    );
-    assert_eq!(fast.score, slow.score, "nested score");
-    assert_eq!(fast.sequence, slow.sequence, "nested sequence");
-    assert_eq!(fast.stats, slow.stats, "nested stats");
-
-    let fast = flat_monte_carlo(game, 8, &mut Rng::seeded(seed));
-    let slow = flat_monte_carlo(&slow_game, 8, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "flat-mc score");
-    assert_eq!(fast.sequence, slow.sequence, "flat-mc sequence");
-
-    let ucfg = UctConfig {
-        iterations: 60,
-        ..Default::default()
-    };
-    let fast = uct(game, &ucfg, &mut Rng::seeded(seed));
-    let slow = uct(&slow_game, &ucfg, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "uct score");
-    assert_eq!(fast.sequence, slow.sequence, "uct sequence");
-
-    let ncfg = NrpaConfig {
-        iterations: 5,
-        alpha: 1.0,
-    };
-    let fast = nrpa(game, 1, &ncfg, &mut Rng::seeded(seed));
-    let slow = nrpa(&slow_game, 1, &ncfg, &mut Rng::seeded(seed));
-    assert_eq!(fast.score, slow.score, "nrpa score");
-    assert_eq!(fast.sequence, slow.sequence, "nrpa sequence");
+    let specs = [
+        SearchSpec::nested(1),
+        SearchSpec::flat_mc(8),
+        SearchSpec::uct_with(UctConfig {
+            iterations: 60,
+            ..Default::default()
+        }),
+        SearchSpec::nrpa_with(
+            1,
+            NrpaConfig {
+                iterations: 5,
+                alpha: 1.0,
+            },
+        ),
+    ];
+    for spec in specs {
+        let spec = spec.seed(seed).build();
+        let label = spec.algorithm.label();
+        let fast = spec.run(game);
+        let slow = spec.run(&slow_game);
+        assert_eq!(fast.score, slow.score, "{label} score");
+        assert_eq!(fast.sequence, slow.sequence, "{label} sequence");
+        if label == "nested" {
+            assert_eq!(fast.stats, slow.stats, "{label} stats");
+        }
+    }
 }
 
 proptest! {
@@ -177,13 +169,8 @@ proptest! {
         prop_assert!(erased.supports_undo());
         assert_round_trips(&erased, seed, 3);
 
-        let fast = nested(&erased, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        let slow = nested(
-            &DynGame::new(SnapshotOnly(typed)),
-            2,
-            &NestedConfig::paper(),
-            &mut Rng::seeded(seed),
-        );
+        let fast = SearchSpec::nested(2).seed(seed).run(&erased);
+        let slow = SearchSpec::nested(2).seed(seed).run(&DynGame::new(SnapshotOnly(typed)));
         prop_assert_eq!(fast.score, slow.score);
         prop_assert_eq!(fast.sequence, slow.sequence);
         prop_assert_eq!(fast.stats, slow.stats);
@@ -192,8 +179,8 @@ proptest! {
     #[test]
     fn morpion_paths_bit_identical(seed in 0u64..100) {
         let b = cross_board(Variant::Disjoint, 2);
-        let fast = nested(&b, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        let slow = nested(&SnapshotOnly(b), 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
+        let fast = SearchSpec::nested(1).seed(seed).run(&b);
+        let slow = SearchSpec::nested(1).seed(seed).run(&SnapshotOnly(b));
         prop_assert_eq!(fast.score, slow.score);
         prop_assert_eq!(fast.sequence, slow.sequence);
         prop_assert_eq!(fast.stats, slow.stats);

@@ -599,6 +599,52 @@ fn a_deeply_nested_body_is_a_400_not_a_crash() {
 }
 
 #[test]
+fn a_replica_count_past_the_queue_capacity_is_a_400_naming_replicas() {
+    // `u64::MAX` replicas once overflowed the lane check (a panic on the
+    // connection thread, or an admitted job that panicked planning its
+    // replicas); any count past the queue capacity can never be held.
+    let server = server(8, 1, 8);
+    let addr = server.addr();
+    // One job pins the single worker for ~300 ms; the next one waits in
+    // the queue, so the queue depth is nonzero while the bad requests land.
+    let mut ids = Vec::new();
+    for seed in [1, 2] {
+        let blocker = SearchSpec::nested(3).deadline_ms(300).seed(seed).build();
+        let (status, _, resp) = post(addr, "/jobs", &submit_body("rx", "morpion", &blocker, ""));
+        assert_eq!(status, 202, "{resp}");
+        ids.push(as_u64(field(&json(&resp), "job")));
+    }
+
+    let cheap = SearchSpec::sample().seed(3).build();
+    for replicas in [u64::MAX, 9] {
+        let extra = format!(r#","replicas":{replicas}"#);
+        let (status, _, resp) = post(addr, "/jobs", &submit_body("rx", "sum", &cheap, &extra));
+        assert_eq!(status, 400, "replicas {replicas}: {resp}");
+        assert!(resp.contains("replicas"), "the 400 names the field: {resp}");
+    }
+    let (status, _, body) = get(addr, "/healthz");
+    assert_eq!(
+        (status, body.as_str()),
+        (200, "ok\n"),
+        "the server is still up"
+    );
+    // A bad request is not a shed.
+    let (_, _, metrics) = get(addr, "/metrics");
+    for line in metrics
+        .lines()
+        .filter(|l| l.starts_with("serve_shed_total"))
+    {
+        assert!(line.ends_with(" 0"), "{line}");
+    }
+
+    for id in ids {
+        let (_, _, out) = get(addr, &format!("/jobs/{id}?wait=1"));
+        assert_eq!(as_str(field(&json(&out), "state")), "completed");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn a_removed_tree_parallel_knob_is_a_400_naming_it() {
     // The lock strategy `Global` is gone; a row asking for it must be
     // refused, never silently run on the one remaining search.

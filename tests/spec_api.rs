@@ -1,32 +1,33 @@
 //! Integration tests of the unified `SearchSpec` front door on the real
-//! domains: every deprecated free-function shim produces results equal
-//! to the equivalent spec run seed-for-seed, specs round-trip through
-//! JSON (the `tables --spec` reproducibility contract), and the erased
+//! domains: every spec run equals its strategy's `*_with` engine room
+//! called directly with the same seed, specs round-trip through JSON
+//! (the `tables --spec` reproducibility contract), and the erased
 //! `AnySearcher` form matches the typed runs.
-//!
-//! The deprecated shims are called deliberately: shim ≡ spec is the
-//! contract under test.
-#![allow(deprecated)]
 
 use pnmcs::games::{SameGame, TspGame, TspInstance};
 use pnmcs::morpion::{cross_board, Variant};
 use pnmcs::search::baselines::{
-    beam_search, flat_monte_carlo, iterated_sampling, simulated_annealing,
+    beam_search_with, flat_monte_carlo_with, iterated_sampling_with, simulated_annealing_with,
 };
 use pnmcs::search::{
-    decode_report, nested, nrpa, uct, AnnealingConfig, AnySearcher, DynGame, NestedConfig,
-    NrpaConfig, Rng, SearchReport, SearchSpec, UctConfig,
+    decode_report, nested_with, nrpa_with, uct_with, AnnealingConfig, AnySearcher, DynGame,
+    NestedConfig, NrpaConfig, Rng, Score, SearchCtx, SearchReport, SearchSpec, UctConfig,
 };
 use pnmcs::search::{Game, MemoryPolicy};
 
+/// Asserts that the front door's `report` equals its engine room `room`
+/// run directly from `Rng::seeded(report.seed)` on an unbounded context:
+/// same score, sequence and counters.
 fn assert_matches<M: PartialEq + std::fmt::Debug>(
     report: &SearchReport<M>,
-    result: &pnmcs::search::SearchResult<M>,
+    room: impl FnOnce(&mut Rng, &mut SearchCtx) -> (Score, Vec<M>),
     label: &str,
 ) {
-    assert_eq!(report.score, result.score, "{label} score");
-    assert_eq!(report.sequence, result.sequence, "{label} sequence");
-    assert_eq!(report.stats, result.stats, "{label} stats");
+    let mut ctx = SearchCtx::unbounded();
+    let (score, sequence) = room(&mut Rng::seeded(report.seed), &mut ctx);
+    assert_eq!(report.score, score, "{label} score");
+    assert_eq!(report.sequence, sequence, "{label} sequence");
+    assert_eq!(&report.stats, ctx.stats(), "{label} stats");
     assert!(report.interrupted.is_none(), "{label} interrupted");
 }
 
@@ -35,28 +36,40 @@ fn shims_equal_specs_on_morpion_seed_for_seed() {
     let board = cross_board(Variant::Disjoint, 3);
     for seed in [1u64, 2009] {
         let spec_run = SearchSpec::nested(1).seed(seed).run(&board);
-        let shim = nested(&board, 1, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nested");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| nested_with(&board, 1, &NestedConfig::paper(), rng, ctx),
+            "nested",
+        );
 
         let greedy = SearchSpec::nested(1)
             .memory(MemoryPolicy::Greedy)
             .seed(seed)
             .run(&board);
-        let shim = nested(&board, 1, &NestedConfig::greedy(), &mut Rng::seeded(seed));
-        assert_matches(&greedy, &shim, "nested-greedy");
+        assert_matches(
+            &greedy,
+            |rng, ctx| nested_with(&board, 1, &NestedConfig::greedy(), rng, ctx),
+            "nested-greedy",
+        );
 
         let cfg = NrpaConfig::with_iterations(10);
         let spec_run = SearchSpec::nrpa_with(1, cfg.clone()).seed(seed).run(&board);
-        let shim = nrpa(&board, 1, &cfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nrpa");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| nrpa_with(&board, 1, &cfg, rng, ctx),
+            "nrpa",
+        );
 
         let ucfg = UctConfig {
             iterations: 300,
             ..UctConfig::default()
         };
         let spec_run = SearchSpec::uct_with(ucfg.clone()).seed(seed).run(&board);
-        let shim = uct(&board, &ucfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "uct");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| uct_with(&board, &ucfg, rng, ctx),
+            "uct",
+        );
     }
 }
 
@@ -66,20 +79,32 @@ fn shims_equal_specs_on_samegame_and_tsp() {
     let tsp = TspGame::new(TspInstance::random(10, 4), None);
     for seed in [3u64, 77] {
         let spec_run = SearchSpec::flat_mc(64).seed(seed).run(&sg);
-        let shim = flat_monte_carlo(&sg, 64, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "flat-mc");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| flat_monte_carlo_with(&sg, 64, rng, ctx),
+            "flat-mc",
+        );
 
         let spec_run = SearchSpec::iterated_sampling(2).seed(seed).run(&sg);
-        let shim = iterated_sampling(&sg, 2, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "iterated-sampling");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| iterated_sampling_with(&sg, 2, rng, ctx),
+            "iterated-sampling",
+        );
 
         let spec_run = SearchSpec::beam(4, 2).seed(seed).run(&tsp);
-        let shim = beam_search(&tsp, 4, 2, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "beam");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| beam_search_with(&tsp, 4, 2, rng, ctx),
+            "beam",
+        );
 
         let spec_run = SearchSpec::nested(2).seed(seed).run(&tsp);
-        let shim = nested(&tsp, 2, &NestedConfig::paper(), &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "nested-tsp");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| nested_with(&tsp, 2, &NestedConfig::paper(), rng, ctx),
+            "nested-tsp",
+        );
 
         let acfg = AnnealingConfig {
             iterations: 1_500,
@@ -88,14 +113,20 @@ fn shims_equal_specs_on_samegame_and_tsp() {
         let spec_run = SearchSpec::simulated_annealing_with(acfg.clone())
             .seed(seed)
             .run(&sg);
-        let shim = simulated_annealing(&sg, &acfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "simulated-annealing-samegame");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| simulated_annealing_with(&sg, &acfg, rng, ctx),
+            "simulated-annealing-samegame",
+        );
 
         let spec_run = SearchSpec::simulated_annealing_with(acfg.clone())
             .seed(seed)
             .run(&tsp);
-        let shim = simulated_annealing(&tsp, &acfg, &mut Rng::seeded(seed));
-        assert_matches(&spec_run, &shim, "simulated-annealing-tsp");
+        assert_matches(
+            &spec_run,
+            |rng, ctx| simulated_annealing_with(&tsp, &acfg, rng, ctx),
+            "simulated-annealing-tsp",
+        );
     }
 }
 
